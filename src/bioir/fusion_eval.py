@@ -10,6 +10,7 @@ a qrels mapping, with empty-gold queries excluded from the means but reported.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -206,6 +207,8 @@ def read_trec_run(path: str) -> dict[str, RunList]:
                 value = float(score)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: bad score '{score}'") from None
+            if not math.isfinite(value):
+                raise DataError(f"{path}:{lineno}: non-finite score '{score}'")
             by_query.setdefault(qid, []).append((ref, value))
             methods[qid] = tag
     return {

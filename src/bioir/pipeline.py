@@ -30,7 +30,6 @@ from .corpus import (
     segment_corpus,
 )
 from .embedding import HashingEmbedder
-from .fixture import make_synthetic_fixture  # noqa: F401  (re-export for the CLI)
 from .fusion_eval import (
     EvalReport,
     RunList,

@@ -12,16 +12,23 @@ projection applied to query vectors, standing in for query-encoder
 finetuning. Training is plain SGD on an in-batch softmax NLL, double
 precision, with analytic gradients checked against central differences.
 
-Similarity scoring uses per-row np.dot on purpose: scores stay bit-identical
-to a naive double-loop oracle, and the K=1 collapse is exact, not approximate.
+Similarity scores are per-row np.dot, so they are bit-identical to a naive
+double-loop oracle and the K=1 collapse is exact, not approximate. Dense
+search scans the whole index with one matrix-vector product, whose scores can
+differ from per-row np.dot in the last bits, and then re-scores with per-row
+np.dot every entry that a certified rounding bound cannot rule out of the
+top k. Its output is therefore bit-identical to the exhaustive per-row scan.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import json
 import logging
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -135,83 +142,124 @@ def infer_similarity(v_q: np.ndarray, vectors: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Dense index: flat, exact. Every entry keeps its K code vectors; search is an
-# exhaustive max-over-codes scan, which doubles as its own oracle.
+# Dense index: one (N, K, d) array of code vectors, scored by a coarse scan and
+# an exact re-score of the entries that could still be in the top k.
 
-@dataclass
-class MultiVectorContext:
-    segment_ref: str
-    vectors: np.ndarray
+# Every key of a container's JSON header, with its type; all are required.
+_PDIX_HEADER = {
+    "version": int, "d": int, "k": int, "count": int,
+    "embedder_id": str, "codes_checksum": str, "segment_refs": list,
+}
+_PDMO_HEADER = {"version": int, "d": int, "k": int, "seed": int, "provenance": dict}
 
-    def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        if self.vectors.ndim != 2:
-            raise DataError(f"entry '{self.segment_ref}' is not a (K, d) matrix")
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_SMALLEST_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 
 
-@dataclass
+@dataclass(eq=False)
 class DenseIndex:
-    entries: list[MultiVectorContext]
+    entries: np.ndarray  # (N, K, d): row i holds the K code vectors of segment_refs[i]
+    segment_refs: list[str]
     d: int
     k: int
     embedder_id: str
     codes_checksum: str
+    code_norms: np.ndarray = field(init=False, repr=False)
 
-    def checksum(self) -> str:
-        return hashlib.sha256(self._serialize()).hexdigest()
+    def __post_init__(self):
+        self.entries = np.ascontiguousarray(self.entries, dtype=np.float64)
+        if self.entries.shape != (len(self.segment_refs), self.k, self.d):
+            raise DataError(
+                f"entries of shape {self.entries.shape} do not match "
+                f"{len(self.segment_refs)} refs, K={self.k}, d={self.d}"
+            )
+        # Largest code norm per entry, for search_dense's rounding bound.
+        squares = np.einsum("nkd,nkd->nk", self.entries, self.entries)
+        self.code_norms = np.sqrt(squares.max(axis=1, initial=0.0))
 
-    def _serialize(self) -> bytes:
+    def save(self, path: str) -> None:
         header = {
             "version": 1,
             "d": self.d,
             "k": self.k,
-            "count": len(self.entries),
+            "count": len(self.segment_refs),
             "embedder_id": self.embedder_id,
             "codes_checksum": self.codes_checksum,
-            "segment_refs": [e.segment_ref for e in self.entries],
+            "segment_refs": self.segment_refs,
         }
-        if self.entries:
-            payload = np.stack([e.vectors for e in self.entries]).reshape(-1)
-        else:
-            payload = np.empty(0, dtype=np.float64)
-        return _pack_container(b"PDIX", header, payload)
-
-    def save(self, path: str) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self._serialize())
+        _write_atomic(path, _container_parts(b"PDIX", header, self.entries))
 
     @classmethod
     def load(cls, path: str) -> "DenseIndex":
-        header, payload = _read_container(path, b"PDIX")
-        d, k, count = header["d"], header["k"], header["count"]
+        header, payload = _read_container(path, b"PDIX", _PDIX_HEADER)
+        d, k, count, refs = header["d"], header["k"], header["count"], header["segment_refs"]
+        if len(refs) != count or not all(isinstance(ref, str) for ref in refs):
+            raise DataError(f"{path}: segment_refs is not a list of {count} strings")
         if payload.size != count * k * d:
             raise DataError(f"{path}: payload size does not match header")
-        mats = payload.reshape(count, k, d)
-        entries = [
-            MultiVectorContext(ref, mats[i])
-            for i, ref in enumerate(header["segment_refs"])
-        ]
-        return cls(entries, d, k, header["embedder_id"], header["codes_checksum"])
+        return cls(
+            payload.reshape(count, k, d), refs, d, k,
+            header["embedder_id"], header["codes_checksum"],
+        )
 
 
-def _pack_container(magic: bytes, header: dict, payload: np.ndarray) -> bytes:
+def _container_parts(magic: bytes, header: dict, payload: np.ndarray) -> list:
+    """A container's bytes as a list: the prefix, then the payload's own buffer."""
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return b"".join(
-        [magic, struct.pack("<II", 1, len(blob)), blob, _canonical_bytes(payload)]
-    )
+    prefix = b"".join([magic, struct.pack("<II", 1, len(blob)), blob])
+    return [prefix, np.ascontiguousarray(payload, dtype="<f8")]
 
 
-def _read_container(path: str, magic: bytes) -> tuple[dict, np.ndarray]:
+def _write_atomic(path: str, parts: list) -> None:
+    """Write parts to a temporary file beside path, then rename it over path.
+
+    A write that fails partway leaves any earlier file at path as it was.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for part in parts:
+                fh.write(part)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _read_container(path: str, magic: bytes, required: dict) -> tuple[dict, np.ndarray]:
+    """Header and payload of a container, or DataError naming the file."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 12 or raw[:4] != magic:
-        raise DataError(f"{path}: not a {magic.decode()} file")
-    version, header_len = struct.unpack("<II", raw[4:12])
-    if version != 1:
-        raise DataError(f"{path}: unsupported version {version}")
-    header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
-    payload = np.frombuffer(raw[12 + header_len :], dtype="<f8").astype(np.float64)
-    return header, payload
+        prefix = fh.read(12)
+        if len(prefix) < 12 or prefix[:4] != magic:
+            raise DataError(f"{path}: not a {magic.decode()} file")
+        version, header_len = struct.unpack("<II", prefix[4:12])
+        if version != 1:
+            raise DataError(f"{path}: unsupported version {version}")
+        rest = os.fstat(fh.fileno()).st_size - 12
+        if header_len > rest:
+            raise DataError(f"{path}: header length {header_len} exceeds the {rest} bytes left")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise DataError(f"{path}: header is not valid JSON ({exc})") from None
+        rest -= header_len
+        if rest % 8:
+            raise DataError(f"{path}: payload of {rest} bytes is not whole float64 values")
+        payload = np.empty(rest // 8, dtype="<f8")
+        if fh.readinto(memoryview(payload).cast("B")) != rest:
+            raise DataError(f"{path}: payload ended early")
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: header is not a JSON object")
+    for key, kind in required.items():
+        value = header.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise DataError(f"{path}: header key '{key}' is missing or not {kind.__name__}")
+    if header["version"] != 1 or header["d"] < 1 or header["k"] < 1:
+        raise DataError(f"{path}: header needs version 1 and positive d and k")
+    if not np.isfinite(payload).all():
+        raise DataError(f"{path}: payload holds non-finite values")
+    return header, payload.astype(np.float64, copy=False)
 
 
 def build_dense_index(
@@ -223,16 +271,22 @@ def build_dense_index(
         raise ConfigError(
             f"provider dimension {provider.dimension} != code dimension {codes.d}"
         )
-    entries = []
+    segments = list(segments)
+    entries = np.empty((len(segments), codes.k, codes.d))
+    refs: list[str] = []
     seen: set[str] = set()
-    for seg in segments:
+    for i, seg in enumerate(segments):
         if seg.segment_id in seen:
             raise DataError(f"duplicate segment id '{seg.segment_id}'")
         seen.add(seg.segment_id)
-        vectors = encode_context(provider.token_vectors(seg.text), codes)
-        entries.append(MultiVectorContext(seg.segment_id, vectors))
+        tokens = np.asarray(provider.token_vectors(seg.text), dtype=np.float64)
+        if not np.isfinite(tokens).all():
+            raise DataError(f"segment '{seg.segment_id}' has non-finite token vectors")
+        entries[i] = encode_context(tokens, codes)
+        refs.append(seg.segment_id)
     return DenseIndex(
         entries=entries,
+        segment_refs=refs,
         d=codes.d,
         k=codes.k,
         embedder_id=provider.identity,
@@ -246,7 +300,13 @@ def search_dense(
     provider: EmbeddingProvider,
     top_k: int,
 ) -> list[tuple[str, float]]:
-    """Exhaustive flat MIPS: max over each entry's codes, ties by segment id."""
+    """Exact flat MIPS: max over each entry's codes, ties by segment id.
+
+    One matrix-vector product gives every entry a coarse score. Entries whose
+    coarse score cannot reach the k-th best under the rounding bound are
+    dropped; the rest are re-scored with infer_similarity, so scores and
+    order are bit-identical to an exhaustive per-row scan.
+    """
     if top_k <= 0:
         raise ConfigError(f"top_k must be positive, got {top_k}")
     if provider.dimension != index.d:
@@ -256,8 +316,31 @@ def search_dense(
         log.warning(
             "searching index built with '%s' using provider '%s'", index.embedder_id, base_id
         )
-    v_q = provider.query_vector(query)
-    hits = [(e.segment_ref, infer_similarity(v_q, e.vectors)) for e in index.entries]
+    v_q = np.asarray(provider.query_vector(query), dtype=np.float64)
+    if not np.isfinite(v_q).all():
+        raise DataError(f"query {query[:40]!r} has a non-finite vector")
+    n, k, d = index.entries.shape
+    scores = (index.entries.reshape(n * k, d) @ v_q).reshape(n, k)
+    # Max over codes one column at a time; a reduction along the short K axis
+    # costs about half as much again as the matrix-vector product itself.
+    coarse = functools.reduce(np.maximum, scores.T)
+    candidates = range(n)
+    if top_k < n:
+        # A float64 dot product of length d, in any summation order, is within
+        # gamma_d * |r| |q| of the true value (Higham, Accuracy and Stability
+        # of Numerical Algorithms, 3.1), so coarse and exact maxima differ by at
+        # most twice that. The extra 1% covers the rounding of the norms and of
+        # the bound itself, the absolute term covers underflow, and nextafter
+        # covers the rounding of the sums below.
+        gamma = d * _UNIT_ROUNDOFF / (1 - d * _UNIT_ROUNDOFF)
+        slack = 2.02 * gamma * float(np.linalg.norm(v_q)) * index.code_norms
+        slack += 2 * d * _SMALLEST_SUBNORMAL
+        upper = np.nextafter(coarse + slack, np.inf)
+        lower = np.nextafter(coarse - slack, -np.inf)
+        floor = np.partition(lower, n - top_k)[n - top_k]  # k-th best lower bound
+        # Written as a negation so that a NaN (from overflow) keeps the entry.
+        candidates = np.flatnonzero(~(upper < floor))
+    hits = [(index.segment_refs[i], infer_similarity(v_q, index.entries[i])) for i in candidates]
     hits.sort(key=lambda h: (-h[1], h[0]))
     return hits[:top_k]
 
@@ -320,12 +403,11 @@ class RetrieverModel:
             "provenance": self.provenance,
         }
         payload = np.concatenate([self.codes.matrix.reshape(-1), self.projection.reshape(-1)])
-        with open(path, "wb") as fh:
-            fh.write(_pack_container(b"PDMO", header, payload))
+        _write_atomic(path, _container_parts(b"PDMO", header, payload))
 
     @classmethod
     def load(cls, path: str) -> "RetrieverModel":
-        header, payload = _read_container(path, b"PDMO")
+        header, payload = _read_container(path, b"PDMO", _PDMO_HEADER)
         d, k = header["d"], header["k"]
         if payload.size != k * d + d * d:
             raise DataError(f"{path}: payload size does not match header")

@@ -148,13 +148,13 @@ def test_01_mips_oracle_equivalence(capfd):
         got = search_dense(index, query, wrapped, top_k=100)
         v_q = wrapped.query_vector(query)
         scored = []
-        for entry in index.entries:
+        for ref, vectors in zip(index.segment_refs, index.entries):
             best = None
-            for row in entry.vectors:
+            for row in vectors:
                 s = float(np.dot(row, v_q))
                 if best is None or s > best:
                     best = s
-            scored.append((entry.segment_ref, best))
+            scored.append((ref, best))
         scored.sort(key=lambda h: (-h[1], h[0]))
         if got != scored[:100]:
             failures.append(f"query {q} diverged from the double-loop scan")

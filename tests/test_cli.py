@@ -8,6 +8,7 @@ independent of it.
 
 import json
 import os
+import struct
 
 import pytest
 
@@ -230,3 +231,54 @@ class TestPipelineCommand:
         conf.write_text("no_such_key = 1\n")
         assert main(["pipeline", "--config", str(conf)]) == 2
         assert "no_such_key" in capsys.readouterr().err
+
+
+def container_variants(raw: bytes):
+    """(label, bytes) for corrupt copies of a .pdix/.pdmo container."""
+    magic, header_len = raw[:4], struct.unpack("<I", raw[8:12])[0]
+    header = json.loads(raw[12 : 12 + header_len])
+    payload = raw[12 + header_len :]
+
+    def pack(h, body=payload):
+        blob = json.dumps(h, sort_keys=True, separators=(",", ":")).encode()
+        return magic + struct.pack("<II", 1, len(blob)) + blob + body
+
+    end = 12 + header_len
+    for cut in (0, 3, 11, 12, 12 + header_len // 2, end - 1, end, end + 5,
+                len(raw) - 8, len(raw) - 1):
+        yield f"truncated at {cut}", raw[:cut]
+    yield "header length too large", raw[:8] + struct.pack("<I", len(raw)) + raw[12:]
+    yield "header not JSON", raw[:12] + b"x" + raw[13:]
+    yield "header not an object", pack([1, 2])
+    for key in sorted(header):
+        yield f"without '{key}'", pack({k: v for k, v in header.items() if k != key})
+        yield f"'{key}' mistyped", pack({**header, key: None})
+    yield "zero d", pack({**header, "d": 0})
+    nan = struct.pack("<d", float("nan"))
+    yield "NaN first value", pack(header, nan + payload[8:])
+    yield "inf last value", pack(header, payload[:-8] + struct.pack("<d", float("inf")))
+
+
+class TestCorruptDenseArtifacts:
+    @pytest.mark.parametrize("kind", ["dense", "model"])
+    def test_corrupt_container_is_data_error(self, ws, tmp_path, capsys, kind):
+        paths = {"dense": tmp_path / "dense.pdix", "model": tmp_path / "model.pdmo"}
+        for key, path in paths.items():
+            path.write_bytes(ws[key].read_bytes())
+        argv = ["search-dense", "--index", str(paths["dense"]), "--model", str(paths["model"]),
+                "--queries", f"{ws['fx']}/queries.jsonl", "--out", str(tmp_path / "run.trec")]
+        assert main(argv) == 0
+        capsys.readouterr()
+
+        wrong = []
+        for label, data in container_variants(ws[kind].read_bytes()):
+            paths[kind].write_bytes(data)
+            try:
+                rc = main(argv)
+            except Exception as exc:  # a traceback is exactly what must not happen
+                wrong.append(f"{label}: raised {exc!r}")
+                continue
+            err = capsys.readouterr().err
+            if rc != 3 or "data error" not in err or str(paths[kind]) not in err:
+                wrong.append(f"{label}: exit {rc}, stderr {err!r}")
+        assert not wrong, wrong

@@ -254,6 +254,13 @@ class TestTrecIo:
         with pytest.raises(DataError, match="1"):
             read_trec_run(str(p))
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_score_rejected(self, tmp_path, score):
+        p = tmp_path / "bad.trec"
+        p.write_text(f"q1 Q0 d1 1 0.5 dense\nq1 Q0 d2 2 {score} dense\n")
+        with pytest.raises(DataError, match=rf"bad\.trec:2: non-finite score '{score}'"):
+            read_trec_run(str(p))
+
 
 class TestQrelsIo:
     def test_round_trip(self, tmp_path):

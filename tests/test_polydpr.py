@@ -1,9 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from bioir import ConfigError, DataError
+from bioir import ConfigError, DataError, polydpr
 from bioir.corpus import Segment, UnitKind
 from bioir.embedding import HashingEmbedder
 from bioir.polydpr import (
@@ -188,7 +189,8 @@ class TestDenseIndex:
     def test_entries_and_shapes(self):
         index, _, _ = self.build(n=5, dim=16, k=3)
         assert len(index.entries) == 5
-        assert all(e.vectors.shape == (3, 16) for e in index.entries)
+        assert index.entries.shape == (5, 3, 16)
+        assert index.segment_refs == [f"s{i:03d}#full_doc#0" for i in range(5)]
 
     def test_duplicate_refs_rejected(self):
         emb = HashingEmbedder(dim=8, seed=2)
@@ -203,9 +205,9 @@ class TestDenseIndex:
         index.save(p1)
         back = DenseIndex.load(p1)
         assert back.d == index.d and back.k == index.k
-        assert [e.segment_ref for e in back.entries] == [e.segment_ref for e in index.entries]
+        assert back.segment_refs == index.segment_refs
         for a, b in zip(back.entries, index.entries):
-            assert np.array_equal(a.vectors, b.vectors)
+            assert np.array_equal(a, b)
         back.save(p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
@@ -215,9 +217,9 @@ class TestDenseIndex:
         got = search_dense(index, query, emb, top_k=10)
         v_q = emb.query_vector(query)
         naive = []
-        for entry in index.entries:
-            best = max(float(np.dot(row, v_q)) for row in entry.vectors)
-            naive.append((entry.segment_ref, best))
+        for ref, vectors in zip(index.segment_refs, index.entries):
+            best = max(float(np.dot(row, v_q)) for row in vectors)
+            naive.append((ref, best))
         naive.sort(key=lambda x: (-x[1], x[0]))
         assert got == naive[:10]
 
@@ -225,6 +227,168 @@ class TestDenseIndex:
         index, emb, _ = self.build(n=3)
         with pytest.raises(ConfigError):
             search_dense(index, "text", emb, top_k=0)
+
+    def test_non_finite_token_vectors_rejected(self):
+        class NanTokens(HashingEmbedder):
+            def token_vectors(self, text):
+                out = super().token_vectors(text)
+                out[0, 0] = np.nan
+                return out
+
+        codes = PolyCodes(np.ones((2, 8)))
+        with pytest.raises(DataError, match="s000#full_doc#0.*non-finite"):
+            build_dense_index([seg("s000#full_doc#0", "some words")], NanTokens(dim=8), codes)
+
+    def test_failed_save_leaves_earlier_file(self, tmp_path, monkeypatch):
+        index, _, _ = self.build(n=6)
+        model = RetrieverModel.initialize(3, 16, seed=1)
+        paths = [str(tmp_path / "dense.pdix"), str(tmp_path / "model.pdmo")]
+        index.save(paths[0])
+        model.save(paths[1])
+        before = [open(p, "rb").read() for p in paths]
+
+        real_open = open
+
+        class DiskFull:
+            """Writes the first 100 bytes through, then fails like a full disk."""
+
+            def __init__(self, *args, **kwargs):
+                self.fh, self.room = real_open(*args, **kwargs), 100
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                data = memoryview(data).cast("B")
+                self.fh.write(data[: self.room])
+                self.room -= min(self.room, len(data))
+                if not self.room:
+                    raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(polydpr, "open", DiskFull, raising=False)
+        smaller, _, _ = self.build(n=3)
+        for save, path in ((smaller.save, paths[0]), (model.save, paths[1])):
+            with pytest.raises(OSError):
+                save(path)
+        assert [open(p, "rb").read() for p in paths] == before
+        assert sorted(os.listdir(tmp_path)) == ["dense.pdix", "model.pdmo"]
+
+
+class FixedQuery:
+    """Provider stub for search_dense: one fixed query vector for every text."""
+
+    identity = "fixed"
+
+    def __init__(self, vector):
+        self.vector = np.asarray(vector, dtype=np.float64)
+        self.dimension = self.vector.size
+
+    def query_vector(self, text):
+        return self.vector
+
+
+def double_loop(index, v_q):
+    scored = []
+    for ref, vectors in zip(index.segment_refs, index.entries):
+        best = None
+        for row in vectors:
+            s = float(np.dot(row, v_q))
+            if best is None or s > best:
+                best = s
+        scored.append((ref, best))
+    scored.sort(key=lambda h: (-h[1], h[0]))
+    return scored
+
+
+class TestDenseSearchExactness:
+    """search_dense must equal the per-row double loop, ties and ulps included."""
+
+    def check_every_top_k(self, index, v_q):
+        want = double_loop(index, v_q)
+        for top_k in range(1, len(want) + 3):
+            assert search_dense(index, "q", FixedQuery(v_q), top_k) == want[:top_k], top_k
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_planted_ties_and_ulps(self, k):
+        # Against a query with q[0] = 1, a code c * e_0 scores exactly c under
+        # any summation order; the other codes score about c - 1.
+        rng = np.random.default_rng(11)
+        d = 16
+        v_q = rng.uniform(-1, 1, size=d) / d
+        v_q[0] = 1.0
+        one_up, one_down = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+        maxima = [1.0, 1.0, one_up, one_down, 1.0, one_down, 0.5, 0.5, 2.0, 1.0, one_up]
+        entries = rng.uniform(-0.1, 0.1, size=(len(maxima), k, d)) / d
+        for i, c in enumerate(maxima):
+            entries[i, :, 0] = c - 1.0
+            best = rng.integers(k)
+            entries[i, best] = 0.0
+            entries[i, best, 0] = c
+        refs = [f"r{i:02d}" for i in rng.permutation(len(maxima))]
+        index = DenseIndex(entries, refs, d, k, "fixed", "")
+        assert [s for _, s in double_loop(index, v_q)][:7] == [
+            2.0, one_up, one_up, 1.0, 1.0, 1.0, 1.0]
+        self.check_every_top_k(index, v_q)
+
+    def test_ulp_clusters(self):
+        # Codes that differ from one base vector by ~1e-16 give scores a few
+        # ulps apart, where the matrix product and per-row np.dot disagree.
+        rng = np.random.default_rng(5)
+        n, k, d = 300, 4, 64
+        base = rng.normal(size=d)
+        entries = base + 1e-16 * rng.normal(size=(n, k, d))
+        v_q = rng.normal(size=d)
+        refs = [f"c{i:03d}" for i in range(n)]
+        index = DenseIndex(entries, refs, d, k, "fixed", "")
+        want = double_loop(index, v_q)
+        assert len({s for _, s in want}) < n  # ties exist
+        for top_k in (1, 2, 5, 17, 100, n - 1, n, n + 5):
+            assert search_dense(index, "q", FixedQuery(v_q), top_k) == want[:top_k]
+
+    def test_empty_index(self):
+        index = DenseIndex(np.empty((0, 2, 8)), [], 8, 2, "fixed", "")
+        assert search_dense(index, "q", FixedQuery(np.ones(8)), 5) == []
+
+    def test_non_finite_query_rejected(self):
+        index = DenseIndex(np.ones((3, 2, 4)), ["a", "b", "c"], 4, 2, "fixed", "")
+        with pytest.raises(DataError, match="non-finite"):
+            search_dense(index, "q", FixedQuery([1.0, np.nan, 0.0, 0.0]), 2)
+
+    def test_rescore_corrects_matrix_product_order(self):
+        # Take the code whose matrix-product score is the most ulps away from
+        # its np.dot score, then plant a rival that scores exactly the np.dot
+        # value. The two tie under np.dot, where the ref decides, but not under
+        # the product.
+        rng = np.random.default_rng(3)
+        n, d = 256, 64
+        v_q = rng.normal(size=d)
+        v_q[0] = 1.0
+        entries = rng.normal(size=(n, 1, d))
+        refs = [f"r{i:03d}" for i in range(n)]
+        exact = np.array([np.dot(row, v_q) for row in entries[:, 0]])
+        ulps = np.abs(entries.reshape(n, d) @ v_q - exact) / np.spacing(np.abs(exact))
+        for i in np.argsort(-ulps, kind="stable")[: np.count_nonzero(ulps)]:
+            j = (i + n // 2) % n
+            planted = entries.copy()
+            planted[j, 0] = 0.0
+            planted[j, 0, 0] = exact[i]
+            coarse = planted.reshape(n, d) @ v_q
+            if coarse[i] != exact[i] and coarse[j] == exact[i]:
+                break
+        else:
+            pytest.skip("this BLAS sums the matrix product exactly like np.dot")
+        lo, hi = sorted([refs[i], refs[j]])
+        refs[i], refs[j] = (lo, hi) if coarse[i] < exact[i] else (hi, lo)
+        index = DenseIndex(planted, refs, d, 1, "fixed", "")
+        want = double_loop(index, v_q)
+        top_k = [ref for ref, _ in want].index(lo) + 1  # the pair straddles the cut
+        by_product = sorted(zip(refs, coarse), key=lambda h: (-h[1], h[0]))
+        assert [r for r, _ in by_product[:top_k]] != [r for r, _ in want[:top_k]]
+        assert search_dense(index, "q", FixedQuery(v_q), top_k) == want[:top_k]
+        self.check_every_top_k(index, v_q)
 
 
 def toy_pairs(n=64, dim=32):
