@@ -14,102 +14,55 @@ import sys
 import numpy as np
 
 from . import ConfigError, DataError, StageError
-from .corpus import (
-    UnitKind,
-    compute_stats,
-    load_corpus,
-    load_segments,
-    save_segments,
-    segment_corpus,
-)
+from .corpus import UnitKind
 from .embedding import HashingEmbedder, provider_from_spec
 from .fixture import make_synthetic_fixture
-from .fusion_eval import (
-    RunList,
-    aggregate_documents,
-    evaluate_run,
-    hybrid_fuse,
-    read_qrels,
-    read_trec_run,
-    write_trec_run,
-)
-from .lexical import DEFAULT_B, DEFAULT_K1, InvertedIndex, build_index, search_bm25
+from .lexical import DEFAULT_B, DEFAULT_K1
 from .pipeline import (
     PipelineConfig,
-    extract_templates_from_questions,
-    build_pool,
-    load_queries,
-    load_questions,
+    aggregate_file,
+    bm25_index_file,
+    bm25_search_file,
+    dense_index_file,
+    dense_search_file,
+    evaluate_file,
+    fuse_file,
+    model_provider,
+    pretrain_pairs_file,
+    questions_file,
     run_pipeline,
+    segment_file,
+    stats_file,
+    template_extract_file,
+    template_pool_file,
+    tempqg_pairs_file,
+    train_file,
 )
-from .polydpr import (
-    DEFAULT_K,
-    DenseIndex,
-    RetrieverModel,
-    TrainConfig,
-    build_dense_index,
-    grad_check,
-    search_dense,
-    train,
-)
-from .pretrain import (
-    DEFAULT_ETM_KEYWORDS,
-    DEFAULT_RSM_WORDS,
-    TrainingPair,
-    build_etm_pairs,
-    build_ict_pairs,
-    build_rsm_pairs,
-    load_pairs,
-    save_pairs,
-)
+from .polydpr import DEFAULT_K, RetrieverModel, TrainConfig, grad_check
+from .pretrain import DEFAULT_ETM_KEYWORDS, DEFAULT_RSM_WORDS, TrainingPair
 from .templates import (
     DEFAULT_CLUSTER_THRESHOLD,
     DEFAULT_DF_THRESHOLD,
     DEFAULT_POOL_SIZE,
     DenseTemplateScorer,
-    EntityLexicon,
     LexicalTemplateScorer,
-    build_tempqg_pairs,
-    fill_template,
-    load_pool,
-    load_templates,
-    save_pool,
-    save_templates,
-    select_templates,
 )
-from .corpus import write_jsonl
 
 log = logging.getLogger("bioir")
 
 
-def _abbreviations(path: str | None):
-    if path is None:
-        return None
-    with open(path, "r", encoding="utf-8") as fh:
-        return frozenset(line.strip().lower() for line in fh if line.strip())
-
-
 def cmd_segment(args) -> None:
-    docs = load_corpus(args.corpus)
-    segments = segment_corpus(
-        docs,
-        UnitKind.parse(args.unit),
-        token_budget=args.token_budget,
-        include_title=args.include_title,
-        abbreviations=_abbreviations(args.abbreviations),
+    segments = segment_file(
+        args.corpus, args.out, args.unit, args.token_budget, args.include_title,
+        args.abbreviations,
     )
-    save_segments(args.out, segments)
     print(f"wrote {len(segments)} segments to {args.out}")
 
 
 def cmd_stats(args) -> None:
     if bool(args.corpus) == bool(args.segments):
         raise ConfigError("pass exactly one of --corpus or --segments")
-    units = load_corpus(args.corpus) if args.corpus else load_segments(args.segments)
-    stats = compute_stats(units)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(stats.to_json())
-        fh.write("\n")
+    stats = stats_file(args.corpus or args.segments, args.out, from_segments=bool(args.segments))
     print(
         f"{stats.num_docs} units, {len(stats.doc_freq)} distinct terms, "
         f"mean length {stats.avg_doc_len:.2f} tokens"
@@ -117,88 +70,57 @@ def cmd_stats(args) -> None:
 
 
 def cmd_build_bm25(args) -> None:
-    index = build_index(load_segments(args.segments), k1=args.k1, b=args.b)
-    index.save(args.out)
+    index = bm25_index_file(args.segments, args.out, args.k1, args.b)
     print(f"indexed {index.num_segments} segments ({len(index.postings)} terms)")
 
 
 def cmd_search_bm25(args) -> None:
-    index = InvertedIndex.load(args.index)
-    runs = []
-    for qid, text in load_queries(args.queries):
-        runs.append(RunList(qid, search_bm25(index, text, args.top_k), method=args.tag))
-    write_trec_run(args.out, runs)
+    runs = bm25_search_file(args.index, args.queries, args.out, args.top_k, args.tag)
     print(f"wrote runs for {len(runs)} queries to {args.out}")
 
 
 def cmd_gen_pretrain(args) -> None:
-    docs = load_corpus(args.corpus)
-    if args.task == "ict":
-        pairs, skipped = build_ict_pairs(docs, seed=args.seed)
-    else:
-        stats = compute_stats(docs)
-        if args.task == "etm":
-            pairs, skipped = build_etm_pairs(docs, stats, m=args.m or DEFAULT_ETM_KEYWORDS)
-        else:
-            pairs, skipped = build_rsm_pairs(
-                docs, stats,
-                m=args.m or DEFAULT_RSM_WORDS,
-                etm_m=args.etm_m,
-            )
-    save_pairs(args.out, pairs)
+    m = args.m or (DEFAULT_ETM_KEYWORDS if args.task == "etm" else DEFAULT_RSM_WORDS)
+    pairs, skipped = pretrain_pairs_file(
+        args.task, args.corpus, args.out,
+        etm_m=m if args.task == "etm" else args.etm_m, rsm_m=m, seed=args.seed,
+    )
     print(f"{args.task}: {len(pairs)} pairs, {skipped} skipped")
 
 
 def cmd_extract_templates(args) -> None:
-    questions = load_questions(args.questions)
-    lexicon = EntityLexicon.load(args.lexicon)
-    templates = extract_templates_from_questions(questions, lexicon, args.df_threshold)
-    save_templates(args.out, templates)
+    templates = template_extract_file(args.questions, args.lexicon, args.out, args.df_threshold)
     n_blanked = sum(1 for t in templates if t.blank_count)
     print(f"extracted {len(templates)} templates ({n_blanked} with blanks)")
 
 
 def cmd_cluster_templates(args) -> None:
-    templates = load_templates(args.templates)
-    pool = build_pool(templates, args.threshold, args.representative == "second")
-    save_pool(args.out, pool)
+    templates, pool = template_pool_file(
+        args.templates, args.out, args.threshold, args.representative
+    )
     print(f"{len(templates)} templates -> {len(pool)} clusters")
 
 
 def _make_engine(args):
     if args.engine == "lexical":
         return LexicalTemplateScorer()
+    if not args.model:
+        raise ConfigError("--engine dense requires --model")
     model = RetrieverModel.load(args.model)
-    provider = provider_from_spec(model.provenance.get("embedder", {}), args.vectors)
-    return DenseTemplateScorer(provider, model.codes, model.projection)
+    return DenseTemplateScorer(model_provider(model, args.vectors), model.codes, model.projection)
 
 
 def cmd_gen_questions(args) -> None:
-    segments = load_segments(args.segments)
-    pool = load_pool(args.pool)
-    lexicon = EntityLexicon.load(args.lexicon)
-    engine = _make_engine(args)
-    rows = []
-    for seg in segments:
-        for tpl in select_templates(seg.text, pool, engine, args.n_templates):
-            question = fill_template(tpl, seg.text, lexicon)
-            if question is not None:
-                rows.append(
-                    {"question": question, "segment_id": seg.segment_id, "doc_id": seg.doc_id}
-                )
-    write_jsonl(args.out, rows)
-    print(f"generated {len(rows)} questions over {len(segments)} segments")
+    rows, n_segments = questions_file(
+        args.segments, args.pool, args.lexicon, args.out, args.n_templates, _make_engine(args)
+    )
+    print(f"generated {len(rows)} questions over {n_segments} segments")
 
 
 def cmd_build_tempqg(args) -> None:
-    pairs = build_tempqg_pairs(
-        load_segments(args.segments),
-        load_pool(args.pool),
-        _make_engine(args),
-        EntityLexicon.load(args.lexicon),
-        n_templates=args.n_templates,
+    pairs = tempqg_pairs_file(
+        args.segments, args.pool, args.lexicon, args.out, args.n_templates, _make_engine(args)
     )
-    save_pairs(args.out, pairs)
     print(f"wrote {len(pairs)} question/context pairs")
 
 
@@ -211,12 +133,6 @@ def _training_provider(args):
 
 
 def cmd_train(args) -> None:
-    provider = _training_provider(args)
-    model = RetrieverModel.initialize(
-        args.k, provider.dimension, args.seed, provenance={"embedder": provider.spec()}
-    )
-    pairs = load_pairs(args.pairs)
-    pre = load_pairs(args.pretrain_pairs) if args.pretrain_pairs else None
     config = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -224,11 +140,16 @@ def cmd_train(args) -> None:
         seed=args.seed,
         schedule=args.schedule,
     )
-    trained = train(pairs, provider, model, config, pretrain_pairs=pre)
-    trained.save(args.out)
+    trained = train_file(
+        args.out, _training_provider(args), args.k, args.seed, config,
+        args.pairs, args.pretrain_pairs,
+    )
     losses = trained.provenance.get("epoch_losses", [])
     tail = f", final loss {losses[-1]:.4f}" if losses else ""
-    print(f"trained on {len(pairs)} pairs ({args.epochs} epochs{tail}); model -> {args.out}")
+    print(
+        f"trained on {trained.provenance['n_pairs']} pairs ({args.epochs} epochs{tail}); "
+        f"model -> {args.out}"
+    )
 
 
 def _random_pairs(rng: np.random.Generator, batch_size: int) -> list[TrainingPair]:
@@ -263,56 +184,30 @@ def cmd_grad_check(args) -> None:
         raise StageError("grad-check", f"gradient error {worst:.3e} >= {args.tolerance:g}")
 
 
-def _search_provider(model: RetrieverModel, vectors: str | None):
-    base = provider_from_spec(model.provenance.get("embedder", {}), vectors)
-    return base, model.query_provider(base)
-
-
 def cmd_build_dense(args) -> None:
-    model = RetrieverModel.load(args.model)
-    base, _ = _search_provider(model, args.vectors)
-    index = build_dense_index(load_segments(args.segments), base, model.codes)
-    index.save(args.out)
+    index = dense_index_file(args.segments, args.model, args.out, args.vectors)
     print(f"indexed {len(index.entries)} segments (K={index.k}, d={index.d})")
 
 
 def cmd_search_dense(args) -> None:
-    model = RetrieverModel.load(args.model)
-    _, wrapped = _search_provider(model, args.vectors)
-    index = DenseIndex.load(args.index)
-    runs = []
-    for qid, text in load_queries(args.queries):
-        runs.append(RunList(qid, search_dense(index, text, wrapped, args.top_k), method=args.tag))
-    write_trec_run(args.out, runs)
+    runs = dense_search_file(
+        args.index, args.model, args.queries, args.out, args.top_k, args.tag, args.vectors
+    )
     print(f"wrote runs for {len(runs)} queries to {args.out}")
 
 
 def cmd_hybrid(args) -> None:
-    bm25_runs = read_trec_run(args.bm25_run)
-    dense_runs = read_trec_run(args.dense_run)
-    fused = []
-    for qid in sorted(set(bm25_runs) | set(dense_runs)):
-        left = bm25_runs.get(qid, RunList(qid, [], method="bm25"))
-        right = dense_runs.get(qid, RunList(qid, [], method="dense"))
-        fused.append(hybrid_fuse(left, right))
-    write_trec_run(args.out, fused)
+    fused = fuse_file(args.bm25_run, args.dense_run, args.out)
     print(f"fused {len(fused)} queries to {args.out}")
 
 
 def cmd_aggregate(args) -> None:
-    seg_to_doc = {s.segment_id: s.doc_id for s in load_segments(args.segments)}
-    runs = read_trec_run(args.run)
-    aggregated = [
-        aggregate_documents(runs[qid], seg_to_doc, top_n=args.top_n) for qid in sorted(runs)
-    ]
-    write_trec_run(args.out, aggregated)
+    aggregated = aggregate_file(args.run, args.segments, args.out, args.top_n)
     print(f"aggregated {len(aggregated)} queries to document level")
 
 
 def cmd_eval(args) -> None:
-    report = evaluate_run(read_trec_run(args.run), read_qrels(args.qrels), cutoff=args.cutoff)
-    if args.out:
-        report.save(args.out)
+    report = evaluate_file(args.run, args.qrels, args.cutoff, args.out)
     skipped = f" ({len(report.skipped_queries)} skipped)" if report.skipped_queries else ""
     print(
         f"MAP@{report.cutoff} {report.map:.4f}  recall@{report.cutoff} {report.recall:.4f}  "
@@ -533,6 +428,9 @@ def main(argv: list[str] | None = None) -> int:
     except StageError as exc:
         print(f"{exc}", file=sys.stderr)
         return 4
+    except OSError as exc:  # an unreadable input or unwritable output path
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

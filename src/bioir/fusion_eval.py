@@ -136,6 +136,10 @@ class EvalReport:
             fh.write(self.to_json())
             fh.write("\n")
 
+    @classmethod
+    def from_json(cls, blob: str) -> "EvalReport":
+        return cls(**json.loads(blob))
+
 
 def evaluate_run(
     runs: Mapping[str, RunList],

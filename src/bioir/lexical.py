@@ -68,17 +68,36 @@ class InvertedIndex:
 
     @classmethod
     def load(cls, path: str) -> "InvertedIndex":
+        """Read a saved index; a malformed file raises DataError naming it."""
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:
+                raise DataError(f"{path}: not a JSON index ({exc})") from None
+        if not isinstance(raw, dict):
+            raise DataError(f"{path}: index must be a JSON object")
         if raw.get("version") != INDEX_VERSION:
             raise DataError(f"{path}: unsupported index version {raw.get('version')!r}")
-        postings = {t: [(ref, tf) for ref, tf in lst] for t, lst in raw["postings"].items()}
-        return cls(
-            postings=postings,
-            segment_lengths=raw["segment_lengths"],
-            k1=raw["k1"],
-            b=raw["b"],
-        )
+        for key, kind in (("k1", (int, float)), ("b", (int, float)),
+                          ("segment_lengths", dict), ("postings", dict)):
+            if not isinstance(raw.get(key), kind) or isinstance(raw[key], bool):
+                raise DataError(f"{path}: '{key}' is missing or mistyped")
+        lengths = raw["segment_lengths"]
+        if not all(type(n) is int for n in lengths.values()):
+            raise DataError(f"{path}: segment lengths must be integers")
+        try:
+            postings = {t: [(ref, tf) for ref, tf in lst] for t, lst in raw["postings"].items()}
+            valid = all(
+                type(tf) is int and ref in lengths for lst in postings.values() for ref, tf in lst
+            )
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise DataError(f"{path}: a posting is not a [segment, count] pair of the index")
+        try:
+            return cls(postings=postings, segment_lengths=lengths, k1=raw["k1"], b=raw["b"])
+        except (ConfigError, DataError) as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def build_index(

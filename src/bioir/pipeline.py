@@ -1,12 +1,14 @@
-"""Staged end-to-end pipeline with content-checksum caching.
+"""File-to-file operations and the staged pipeline that chains them.
 
-A flat key=value config drives the run: segment, compute stats, build the
-lexical and dense branches (generating pre-training and template-question
-pairs, training the dense model), search, aggregate segments to documents,
-fuse, and evaluate. Every stage writes a manifest of its parameters and the
-checksums of its inputs and outputs; a stage whose manifest still matches is
-skipped. Nothing in a manifest depends on the wall clock, so two identical
-runs produce byte-identical artifacts.
+Each operation reads its input files, writes its output file and returns what
+it built; the CLI subcommands and the pipeline stages call the same
+operations. A flat key=value config drives the staged run: segment, compute
+stats, build the lexical and dense branches (generating pre-training and
+template-question pairs, training the dense model), search, aggregate
+segments to documents, fuse, and evaluate. Every stage writes a manifest of
+its parameters and the checksums of its inputs and outputs; a stage whose
+manifest still matches is skipped. Nothing in a manifest depends on the wall
+clock, so two identical runs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -14,22 +16,26 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass, fields
 from typing import Callable
 
 from . import ConfigError, DataError, StageError, __version__
 from .corpus import (
+    CorpusStats,
+    Document,
+    Segment,
     UnitKind,
     compute_stats,
-    CorpusStats,
     load_corpus,
     load_segments,
     read_jsonl,
     save_segments,
     segment_corpus,
+    write_jsonl,
 )
-from .embedding import HashingEmbedder
+from .embedding import EmbeddingProvider, HashingEmbedder, provider_from_spec
 from .fusion_eval import (
     EvalReport,
     RunList,
@@ -40,7 +46,7 @@ from .fusion_eval import (
     read_trec_run,
     write_trec_run,
 )
-from .lexical import build_index, InvertedIndex, search_bm25
+from .lexical import InvertedIndex, build_index, search_bm25
 from .polydpr import (
     DenseIndex,
     RetrieverModel,
@@ -50,6 +56,7 @@ from .polydpr import (
     train,
 )
 from .pretrain import (
+    TrainingPair,
     build_etm_pairs,
     build_ict_pairs,
     build_rsm_pairs,
@@ -60,9 +67,11 @@ from .templates import (
     EntityLexicon,
     LexicalTemplateScorer,
     Template,
+    TemplateScorer,
     build_tempqg_pairs,
     cluster_templates,
     extract_template,
+    generate_questions,
     load_pool,
     load_templates,
     pick_representative,
@@ -126,6 +135,12 @@ class PipelineConfig:
             raise ConfigError("representative must be 'smallest' or 'second'")
         UnitKind.parse(self.unit)
         UnitKind.parse(self.tempqg_unit)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"config key '{f.name}' must be finite, got {value}")
+            if f.name in ("top_k", "top_docs", "cutoff") and value < 1:
+                raise ConfigError(f"config key '{f.name}' must be at least 1, got {value}")
         for name in ("corpus", "queries", "qrels", "workdir"):
             if not getattr(self, name):
                 raise ConfigError(f"config key '{name}' is required")
@@ -306,19 +321,13 @@ class PipelineRunner:
         return True
 
 
-def _question_stats(questions: list[tuple[str, str]]) -> CorpusStats:
-    from .corpus import Document
-
-    return compute_stats([Document(qid, "", text) for qid, text in questions])
-
-
 def extract_templates_from_questions(
     questions: list[tuple[str, str]],
     lexicon: EntityLexicon,
     df_threshold: int,
 ):
     """Tag and blank every question; stats come from the question corpus itself."""
-    stats = _question_stats(questions)
+    stats = compute_stats([Document(qid, "", text) for qid, text in questions])
     templates = []
     for qid, text in questions:
         spans = tag_entities(text, lexicon)
@@ -335,366 +344,279 @@ def build_pool(templates, threshold: float, second_smallest: bool):
     return pool
 
 
+# ---------------------------------------------------------------------------
+# Operations. Each reads its input files, writes its output file `out` and
+# returns what it built: CLI subcommands print from the result, pipeline
+# stages ignore it. Every str argument other than `out` names an input file.
+
+def segment_file(corpus: str, out: str, unit: str, token_budget: int | None = None,
+                 include_title: bool = False, abbreviations: str | None = None) -> list[Segment]:
+    """`abbreviations` holds sentence-split guard tokens, one per line."""
+    docs = load_corpus(corpus)
+    guards = None
+    if abbreviations is not None:
+        with open(abbreviations, "r", encoding="utf-8") as fh:
+            guards = frozenset(line.strip().lower() for line in fh if line.strip())
+    segments = segment_corpus(docs, UnitKind.parse(unit), token_budget=token_budget,
+                              include_title=include_title, abbreviations=guards)
+    save_segments(out, segments)
+    return segments
+
+
+def stats_file(units: str, out: str, from_segments: bool = False) -> CorpusStats:
+    """Term statistics over a corpus file, or over a segments file."""
+    stats = compute_stats(load_segments(units) if from_segments else load_corpus(units))
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(stats.to_json())
+        fh.write("\n")
+    return stats
+
+
+def bm25_index_file(segments: str, out: str, k1: float, b: float) -> InvertedIndex:
+    index = build_index(load_segments(segments), k1=k1, b=b)
+    index.save(out)
+    return index
+
+
+def _search_file(queries: str, out: str, tag: str, search: Callable) -> list[RunList]:
+    runs = [RunList(qid, search(text), method=tag) for qid, text in load_queries(queries)]
+    write_trec_run(out, runs)
+    return runs
+
+
+def bm25_search_file(index: str, queries: str, out: str, top_k: int,
+                     tag: str = "bm25") -> list[RunList]:
+    loaded = InvertedIndex.load(index)
+    return _search_file(queries, out, tag, lambda text: search_bm25(loaded, text, top_k))
+
+
+def model_provider(model: RetrieverModel, vectors: str | None = None) -> EmbeddingProvider:
+    """The embedding provider recorded in the model's provenance."""
+    return provider_from_spec(model.provenance.get("embedder", {}), vectors)
+
+
+def dense_index_file(segments: str, model: str, out: str,
+                     vectors: str | None = None) -> DenseIndex:
+    loaded = RetrieverModel.load(model)
+    index = build_dense_index(load_segments(segments), model_provider(loaded, vectors),
+                              loaded.codes)
+    index.save(out)
+    return index
+
+
+def dense_search_file(index: str, model: str, queries: str, out: str, top_k: int,
+                      tag: str = "dense", vectors: str | None = None) -> list[RunList]:
+    loaded = RetrieverModel.load(model)
+    provider = loaded.query_provider(model_provider(loaded, vectors))
+    dense = DenseIndex.load(index)
+    return _search_file(queries, out, tag, lambda text: search_dense(dense, text, provider, top_k))
+
+
+def pretrain_pairs_file(task: str, corpus: str, out: str, etm_m: int, rsm_m: int, seed: int,
+                        stats: str | None = None) -> tuple[list[TrainingPair], int]:
+    """ETM, RSM or ICT pairs and the skipped count. ETM and RSM read term
+    statistics from `stats`, or compute them from the corpus without it."""
+    docs = load_corpus(corpus)
+    if task == "ict":
+        pairs, skipped = build_ict_pairs(docs, seed=seed)
+    else:
+        if stats is None:
+            corpus_stats = compute_stats(docs)
+        else:
+            with open(stats, "r", encoding="utf-8") as fh:
+                corpus_stats = CorpusStats.from_json(fh.read())
+        if task == "etm":
+            pairs, skipped = build_etm_pairs(docs, corpus_stats, m=etm_m)
+        else:
+            pairs, skipped = build_rsm_pairs(docs, corpus_stats, m=rsm_m, etm_m=etm_m)
+    save_pairs(out, pairs)
+    return pairs, skipped
+
+
+def template_extract_file(questions: str, lexicon: str, out: str,
+                          df_threshold: int) -> list[Template]:
+    templates = extract_templates_from_questions(
+        load_questions(questions), EntityLexicon.load(lexicon), df_threshold
+    )
+    save_templates(out, templates)
+    return templates
+
+
+def template_pool_file(templates: str, out: str, threshold: float,
+                       representative: str) -> tuple[list[Template], list[Template]]:
+    """Returns the loaded templates and the pool of cluster representatives."""
+    loaded = load_templates(templates)
+    pool = build_pool(loaded, threshold, representative == "second")
+    save_pool(out, pool)
+    return loaded, pool
+
+
+def tempqg_pairs_file(segments: str, pool: str, lexicon: str, out: str, n_templates: int,
+                      scorer: TemplateScorer) -> list[TrainingPair]:
+    pairs = build_tempqg_pairs(load_segments(segments), load_pool(pool), scorer,
+                               EntityLexicon.load(lexicon), n_templates=n_templates)
+    save_pairs(out, pairs)
+    return pairs
+
+
+def questions_file(segments: str, pool: str, lexicon: str, out: str, n_templates: int,
+                   scorer: TemplateScorer) -> tuple[list[dict], int]:
+    """Every filled question per segment, duplicates kept; returns rows and segment count."""
+    units, templates = load_segments(segments), load_pool(pool)
+    entities = EntityLexicon.load(lexicon)
+    rows = [
+        {"question": question, "segment_id": seg.segment_id, "doc_id": seg.doc_id}
+        for seg in units
+        for question in generate_questions(seg.text, templates, scorer, entities, n_templates)
+    ]
+    write_jsonl(out, rows)
+    return rows, len(units)
+
+
+def train_file(out: str, provider: EmbeddingProvider, k: int, seed: int, config: TrainConfig,
+               pairs: str | None = None, pretrain: str | None = None) -> RetrieverModel:
+    """Train on `pairs` (after or beside `pretrain`'s); without pairs the seeded
+    untrained model is saved."""
+    model = RetrieverModel.initialize(
+        k, provider.dimension, seed, provenance={"embedder": provider.spec()}
+    )
+    if pairs is not None:
+        pre = load_pairs(pretrain) if pretrain else None
+        model = train(load_pairs(pairs), provider, model, config, pretrain_pairs=pre)
+    model.save(out)
+    return model
+
+
+def aggregate_file(run: str, segments: str, out: str, top_n: int) -> list[RunList]:
+    seg_to_doc = {s.segment_id: s.doc_id for s in load_segments(segments)}
+    runs = read_trec_run(run)
+    aggregated = [aggregate_documents(runs[qid], seg_to_doc, top_n=top_n) for qid in sorted(runs)]
+    write_trec_run(out, aggregated)
+    return aggregated
+
+
+def fuse_file(bm25_run: str, dense_run: str, out: str) -> list[RunList]:
+    bm25_runs, dense_runs = read_trec_run(bm25_run), read_trec_run(dense_run)
+    fused = [
+        hybrid_fuse(bm25_runs.get(qid, RunList(qid, [], method="bm25")),
+                    dense_runs.get(qid, RunList(qid, [], method="dense")))
+        for qid in sorted(set(bm25_runs) | set(dense_runs))
+    ]
+    write_trec_run(out, fused)
+    return fused
+
+
+def evaluate_file(run: str, qrels: str, cutoff: int, out: str | None = None,
+                  manifests: list[dict] | None = None) -> EvalReport:
+    """MAP and recall; the report, with any manifests, is written when `out` is given."""
+    report = evaluate_run(read_trec_run(run), read_qrels(qrels), cutoff=cutoff)
+    report.manifests = manifests or []
+    if out:
+        report.save(out)
+    return report
+
+
 def run_pipeline(config: PipelineConfig) -> tuple[EvalReport, list[StageOutcome]]:
     """Execute the configured stage graph; returns the report and stage outcomes."""
     config.validate()
     os.makedirs(config.workdir, exist_ok=True)
     runner = PipelineRunner(config.workdir)
+    path, stage = runner.path, runner.stage
+
+    def keys(*names: str) -> dict:
+        return {name: getattr(config, name) for name in names}
+
     want_bm25 = config.mode in ("bm25", "hybrid")
     want_dense = config.mode in ("dense", "hybrid")
     want_tempqg = want_dense and config.finetune_task == "tempqg"
     want_pretrain = want_dense and config.pretrain_task != "none"
+    corpus, queries = config.corpus, config.queries
 
-    segments_path = runner.path("segments.jsonl")
-    runner.stage(
-        "segment_index",
-        inputs=[config.corpus],
-        params={
-            "unit": config.unit,
-            "token_budget": config.token_budget,
-            "include_title": config.include_title,
-        },
-        outputs=[segments_path],
-        fn=lambda: save_segments(
-            segments_path,
-            segment_corpus(
-                load_corpus(config.corpus),
-                UnitKind.parse(config.unit),
-                token_budget=config.token_budget or None,
-                include_title=config.include_title,
-            ),
-        ),
-    )
+    segments = path("segments.jsonl")
+    stage("segment_index", [corpus], keys("unit", "token_budget", "include_title"), [segments],
+          lambda: segment_file(corpus, segments, config.unit, config.token_budget or None,
+                               config.include_title))
 
     if want_bm25:
-        bm25_path = runner.path("bm25_index.json")
-        runner.stage(
-            "bm25_index",
-            inputs=[segments_path],
-            params={"k1": config.k1, "b": config.b},
-            outputs=[bm25_path],
-            fn=lambda: build_index(
-                load_segments(segments_path), k1=config.k1, b=config.b
-            ).save(bm25_path),
-        )
+        bm25 = path("bm25_index.json")
+        bm25_seg, bm25_docs = path("run_bm25_segments.trec"), path("run_bm25_docs.trec")
+        stage("bm25_index", [segments], keys("k1", "b"), [bm25],
+              lambda: bm25_index_file(segments, bm25, config.k1, config.b))
+        stage("bm25_search", [bm25, queries], keys("top_k"), [bm25_seg],
+              lambda: bm25_search_file(bm25, queries, bm25_seg, config.top_k))
+        stage("bm25_aggregate", [bm25_seg, segments], keys("top_docs"), [bm25_docs],
+              lambda: aggregate_file(bm25_seg, segments, bm25_docs, config.top_docs))
 
-        bm25_run_seg = runner.path("run_bm25_segments.trec")
-
-        def _bm25_search():
-            index = InvertedIndex.load(bm25_path)
-            runs = []
-            for qid, text in load_queries(config.queries):
-                hits = search_bm25(index, text, config.top_k)
-                runs.append(RunList(qid, hits, method="bm25"))
-            write_trec_run(bm25_run_seg, runs)
-
-        runner.stage(
-            "bm25_search",
-            inputs=[bm25_path, config.queries],
-            params={"top_k": config.top_k},
-            outputs=[bm25_run_seg],
-            fn=_bm25_search,
-        )
-
-        bm25_run_docs = runner.path("run_bm25_docs.trec")
-        runner.stage(
-            "bm25_aggregate",
-            inputs=[bm25_run_seg, segments_path],
-            params={"top_docs": config.top_docs},
-            outputs=[bm25_run_docs],
-            fn=lambda: _aggregate_file(bm25_run_seg, segments_path, bm25_run_docs, config),
-        )
-
-    model_path = runner.path("model.pdmo")
     if want_dense:
-        pretrain_path = runner.path("pairs_pretrain.jsonl")
+        pretrain = path("pairs_pretrain.jsonl")
         if want_pretrain:
-            stats_path = runner.path("doc_stats.json")
+            stats = None
             if config.pretrain_task in ("rsm", "etm"):
-                runner.stage(
-                    "doc_stats",
-                    inputs=[config.corpus],
-                    params={},
-                    outputs=[stats_path],
-                    fn=lambda: _write_stats(config.corpus, stats_path),
-                )
+                stats = path("doc_stats.json")
+                stage("doc_stats", [corpus], {}, [stats], lambda: stats_file(corpus, stats))
+            stage("pretrain_pairs", [corpus] + ([stats] if stats else []),
+                  {"task": config.pretrain_task, **keys("etm_m", "rsm_m", "seed")}, [pretrain],
+                  lambda: pretrain_pairs_file(config.pretrain_task, corpus, pretrain,
+                                              config.etm_m, config.rsm_m, config.seed, stats))
 
-            def _pretrain():
-                docs = load_corpus(config.corpus)
-                if config.pretrain_task == "ict":
-                    pairs, _ = build_ict_pairs(docs, seed=config.seed)
-                else:
-                    with open(stats_path, "r", encoding="utf-8") as fh:
-                        stats = CorpusStats.from_json(fh.read())
-                    if config.pretrain_task == "etm":
-                        pairs, _ = build_etm_pairs(docs, stats, m=config.etm_m)
-                    else:
-                        pairs, _ = build_rsm_pairs(
-                            docs, stats, m=config.rsm_m, etm_m=config.etm_m
-                        )
-                save_pairs(pretrain_path, pairs)
-
-            pretrain_inputs = [config.corpus]
-            pretrain_params = {
-                "task": config.pretrain_task,
-                "etm_m": config.etm_m,
-                "rsm_m": config.rsm_m,
-                "seed": config.seed,
-            }
-            if config.pretrain_task in ("rsm", "etm"):
-                pretrain_inputs.append(stats_path)
-            runner.stage(
-                "pretrain_pairs",
-                inputs=pretrain_inputs,
-                params=pretrain_params,
-                outputs=[pretrain_path],
-                fn=_pretrain,
-            )
-
-        tempqg_path = runner.path("pairs_tempqg.jsonl")
+        tempqg = path("pairs_tempqg.jsonl")
         if want_tempqg:
-            context_segments_path = runner.path("segments_context.jsonl")
-            runner.stage(
-                "segment_context",
-                inputs=[config.corpus],
-                params={"unit": config.tempqg_unit},
-                outputs=[context_segments_path],
-                fn=lambda: save_segments(
-                    context_segments_path,
-                    segment_corpus(load_corpus(config.corpus), UnitKind.parse(config.tempqg_unit)),
-                ),
-            )
+            contexts = path("segments_context.jsonl")
+            templates, pool = path("templates_raw.jsonl"), path("template_pool.jsonl")
+            stage("segment_context", [corpus], {"unit": config.tempqg_unit}, [contexts],
+                  lambda: segment_file(corpus, contexts, config.tempqg_unit))
+            stage("template_extract", [config.train_questions, config.lexicon],
+                  keys("df_threshold"), [templates],
+                  lambda: template_extract_file(config.train_questions, config.lexicon,
+                                                templates, config.df_threshold))
+            stage("template_pool", [templates],
+                  {"threshold": config.cluster_threshold, "representative": config.representative},
+                  [pool],
+                  lambda: template_pool_file(templates, pool, config.cluster_threshold,
+                                             config.representative))
+            stage("tempqg_pairs", [contexts, pool, config.lexicon], keys("n_templates"),
+                  [tempqg],
+                  lambda: tempqg_pairs_file(contexts, pool, config.lexicon, tempqg,
+                                            config.n_templates, LexicalTemplateScorer()))
 
-            templates_path = runner.path("templates_raw.jsonl")
-            runner.stage(
-                "template_extract",
-                inputs=[config.train_questions, config.lexicon],
-                params={"df_threshold": config.df_threshold},
-                outputs=[templates_path],
-                fn=lambda: save_templates(
-                    templates_path,
-                    extract_templates_from_questions(
-                        load_questions(config.train_questions),
-                        EntityLexicon.load(config.lexicon),
-                        config.df_threshold,
-                    ),
-                ),
-            )
+        # Main pairs first, then pre-training pairs: train_file's argument order.
+        train_inputs = [p for p, on in ((tempqg, want_tempqg), (pretrain, want_pretrain)) if on]
+        model = path("model.pdmo")
+        stage("train", train_inputs,
+              keys("poly_k", "dim", "embed_seed", "n_hash", "seed", "train_seed", "epochs",
+                   "batch_size", "learning_rate", "schedule"),
+              [model],
+              lambda: train_file(
+                  model,
+                  HashingEmbedder(dim=config.dim, seed=config.embed_seed, n_hash=config.n_hash),
+                  config.poly_k,
+                  config.seed,
+                  TrainConfig(epochs=config.epochs, batch_size=config.batch_size,
+                              learning_rate=config.learning_rate, seed=config.train_seed,
+                              schedule=config.schedule),
+                  *train_inputs,
+              ))
 
-            pool_path = runner.path("template_pool.jsonl")
-            runner.stage(
-                "template_pool",
-                inputs=[templates_path],
-                params={
-                    "threshold": config.cluster_threshold,
-                    "representative": config.representative,
-                },
-                outputs=[pool_path],
-                fn=lambda: save_pool(
-                    pool_path,
-                    build_pool(
-                        load_templates(templates_path),
-                        config.cluster_threshold,
-                        config.representative == "second",
-                    ),
-                ),
-            )
-
-            runner.stage(
-                "tempqg_pairs",
-                inputs=[context_segments_path, pool_path, config.lexicon],
-                params={"n_templates": config.n_templates},
-                outputs=[tempqg_path],
-                fn=lambda: save_pairs(
-                    tempqg_path,
-                    build_tempqg_pairs(
-                        load_segments(context_segments_path),
-                        load_pool(pool_path),
-                        LexicalTemplateScorer(),
-                        EntityLexicon.load(config.lexicon),
-                        n_templates=config.n_templates,
-                    ),
-                ),
-            )
-
-        train_inputs = []
-        if want_tempqg:
-            train_inputs.append(tempqg_path)
-        if want_pretrain:
-            train_inputs.append(pretrain_path)
-
-        def _train():
-            provider = HashingEmbedder(
-                dim=config.dim, seed=config.embed_seed, n_hash=config.n_hash
-            )
-            model = RetrieverModel.initialize(
-                config.poly_k, config.dim, config.seed,
-                provenance={"embedder": provider.spec()},
-            )
-            if not train_inputs:
-                model.save(model_path)
-                return
-            if want_tempqg:
-                main_pairs = load_pairs(tempqg_path)
-                pre_pairs = load_pairs(pretrain_path) if want_pretrain else None
-            else:
-                main_pairs = load_pairs(pretrain_path)
-                pre_pairs = None
-            trained = train(
-                main_pairs,
-                provider,
-                model,
-                TrainConfig(
-                    epochs=config.epochs,
-                    batch_size=config.batch_size,
-                    learning_rate=config.learning_rate,
-                    seed=config.train_seed,
-                    schedule=config.schedule,
-                ),
-                pretrain_pairs=pre_pairs,
-            )
-            trained.save(model_path)
-
-        runner.stage(
-            "train",
-            inputs=train_inputs,
-            params={
-                "poly_k": config.poly_k,
-                "dim": config.dim,
-                "embed_seed": config.embed_seed,
-                "n_hash": config.n_hash,
-                "seed": config.seed,
-                "train_seed": config.train_seed,
-                "epochs": config.epochs,
-                "batch_size": config.batch_size,
-                "learning_rate": config.learning_rate,
-                "schedule": config.schedule,
-            },
-            outputs=[model_path],
-            fn=_train,
-        )
-
-        dense_path = runner.path("dense_index.pdix")
-
-        def _dense_index():
-            model = RetrieverModel.load(model_path)
-            provider = HashingEmbedder(
-                dim=config.dim, seed=config.embed_seed, n_hash=config.n_hash
-            )
-            build_dense_index(load_segments(segments_path), provider, model.codes).save(dense_path)
-
-        runner.stage(
-            "dense_index",
-            inputs=[segments_path, model_path],
-            params={},
-            outputs=[dense_path],
-            fn=_dense_index,
-        )
-
-        dense_run_seg = runner.path("run_dense_segments.trec")
-
-        def _dense_search():
-            model = RetrieverModel.load(model_path)
-            provider = HashingEmbedder(
-                dim=config.dim, seed=config.embed_seed, n_hash=config.n_hash
-            )
-            wrapped = model.query_provider(provider)
-            index = DenseIndex.load(dense_path)
-            runs = []
-            for qid, text in load_queries(config.queries):
-                hits = search_dense(index, text, wrapped, config.top_k)
-                runs.append(RunList(qid, hits, method="dense"))
-            write_trec_run(dense_run_seg, runs)
-
-        runner.stage(
-            "dense_search",
-            inputs=[dense_path, model_path, config.queries],
-            params={"top_k": config.top_k},
-            outputs=[dense_run_seg],
-            fn=_dense_search,
-        )
-
-        dense_run_docs = runner.path("run_dense_docs.trec")
-        runner.stage(
-            "dense_aggregate",
-            inputs=[dense_run_seg, segments_path],
-            params={"top_docs": config.top_docs},
-            outputs=[dense_run_docs],
-            fn=lambda: _aggregate_file(dense_run_seg, segments_path, dense_run_docs, config),
-        )
+        dense = path("dense_index.pdix")
+        dense_seg, dense_docs = path("run_dense_segments.trec"), path("run_dense_docs.trec")
+        stage("dense_index", [segments, model], {}, [dense],
+              lambda: dense_index_file(segments, model, dense))
+        stage("dense_search", [dense, model, queries], keys("top_k"), [dense_seg],
+              lambda: dense_search_file(dense, model, queries, dense_seg, config.top_k))
+        stage("dense_aggregate", [dense_seg, segments], keys("top_docs"), [dense_docs],
+              lambda: aggregate_file(dense_seg, segments, dense_docs, config.top_docs))
 
     if config.mode == "hybrid":
-        hybrid_docs = runner.path("run_hybrid_docs.trec")
-
-        def _fuse():
-            bm25_runs = read_trec_run(bm25_run_docs)
-            dense_runs = read_trec_run(dense_run_docs)
-            fused = []
-            for qid in sorted(set(bm25_runs) | set(dense_runs)):
-                left = bm25_runs.get(qid, RunList(qid, [], method="bm25"))
-                right = dense_runs.get(qid, RunList(qid, [], method="dense"))
-                fused.append(hybrid_fuse(left, right))
-            write_trec_run(hybrid_docs, fused)
-
-        runner.stage(
-            "fuse",
-            inputs=[bm25_run_docs, dense_run_docs],
-            params={},
-            outputs=[hybrid_docs],
-            fn=_fuse,
-        )
-        final_run = hybrid_docs
-    elif config.mode == "bm25":
-        final_run = bm25_run_docs
+        final_run = path("run_hybrid_docs.trec")
+        stage("fuse", [bm25_docs, dense_docs], {}, [final_run],
+              lambda: fuse_file(bm25_docs, dense_docs, final_run))
     else:
-        final_run = dense_run_docs
+        final_run = bm25_docs if config.mode == "bm25" else dense_docs
 
-    report_path = runner.path("report.json")
-    chain = hashlib.sha256(
-        json.dumps(runner.manifests, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-
-    def _evaluate():
-        runs = read_trec_run(final_run)
-        report = evaluate_run(runs, read_qrels(config.qrels), cutoff=config.cutoff)
-        report.manifests = runner.manifests
-        report.save(report_path)
-
-    runner.stage(
-        "evaluate",
-        inputs=[final_run, config.qrels],
-        params={"cutoff": config.cutoff, "chain": chain},
-        outputs=[report_path],
-        fn=_evaluate,
-    )
-
-    with open(report_path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    report = EvalReport(
-        map=raw["map"],
-        recall=raw["recall"],
-        cutoff=raw["cutoff"],
-        num_queries=raw["num_queries"],
-        per_query=raw["per_query"],
-        skipped_queries=raw["skipped_queries"],
-        manifests=raw.get("manifests", []),
-    )
-    return report, runner.outcomes
-
-
-def _write_stats(corpus_path: str, out_path: str) -> None:
-    stats = compute_stats(load_corpus(corpus_path))
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(stats.to_json())
-        fh.write("\n")
-
-
-def _aggregate_file(run_path: str, segments_path: str, out_path: str,
-                    config: PipelineConfig) -> None:
-    seg_to_doc = {s.segment_id: s.doc_id for s in load_segments(segments_path)}
-    runs = read_trec_run(run_path)
-    aggregated = [
-        aggregate_documents(runs[qid], seg_to_doc, top_n=config.top_docs)
-        for qid in sorted(runs)
-    ]
-    write_trec_run(out_path, aggregated)
+    report = path("report.json")
+    chain = hashlib.sha256(json.dumps(runner.manifests, sort_keys=True).encode("utf-8"))
+    stage("evaluate", [final_run, config.qrels],
+          {"cutoff": config.cutoff, "chain": chain.hexdigest()}, [report],
+          lambda: evaluate_file(final_run, config.qrels, config.cutoff, report, runner.manifests))
+    with open(report, "r", encoding="utf-8") as fh:
+        return EvalReport.from_json(fh.read()), runner.outcomes

@@ -91,16 +91,6 @@ class PolyCodes:
     def d(self) -> int:
         return self.matrix.shape[1]
 
-    @classmethod
-    def initialize(cls, k: int, d: int, seed: int) -> "PolyCodes":
-        """Seeded normal rows scaled by 1/sqrt(d)."""
-        if k < 1:
-            raise ConfigError(f"code count must be at least 1, got {k}")
-        if d < 1:
-            raise ConfigError(f"dimension must be at least 1, got {d}")
-        rng = np.random.default_rng(seed)
-        return cls(rng.normal(0.0, 1.0 / math.sqrt(d), size=(k, d)))
-
     def checksum(self) -> str:
         return hashlib.sha256(_canonical_bytes(self.matrix)).hexdigest()
 
@@ -464,8 +454,10 @@ class TrainConfig:
             raise ConfigError(
                 f"batch size must be at least 2 for in-batch negatives, got {self.batch_size}"
             )
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(
+                f"learning rate must be positive and finite, got {self.learning_rate}"
+            )
         if self.schedule not in SCHEDULES:
             raise ConfigError(
                 f"unknown schedule '{self.schedule}' (known: {', '.join(SCHEDULES)})"

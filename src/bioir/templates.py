@@ -424,6 +424,22 @@ def fill_template(
     return question
 
 
+def generate_questions(
+    context: str,
+    pool: Sequence[Template],
+    engine: TemplateScorer,
+    lexicon: EntityLexicon,
+    n_templates: int = DEFAULT_POOL_SIZE,
+) -> list[str]:
+    """Fill the context's top-ranked pool templates, dropping failed fills."""
+    questions = []
+    for tpl in select_templates(context, pool, engine, n_templates):
+        question = fill_template(tpl, context, lexicon)
+        if question is not None:
+            questions.append(question)
+    return questions
+
+
 def build_tempqg_pairs(
     segments: Iterable[Segment],
     template_pool: Sequence[Template],
@@ -433,21 +449,17 @@ def build_tempqg_pairs(
 ) -> list[TrainingPair]:
     """Generated question -> segment text pairs.
 
-    Per segment: rank the pool, fill the top templates, drop failed fills and
-    duplicate questions. The segment text is the positive whether the segment
-    is a two-sentence window (short contexts) or a full document (long).
+    Per segment: generate questions, then drop duplicates. The segment text
+    is the positive whether the segment is a two-sentence window (short
+    contexts) or a full document (long).
     """
-    pairs = []
-    for seg in segments:
-        chosen = select_templates(seg.text, template_pool, engine, n_templates)
-        seen: set[str] = set()
-        for tpl in chosen:
-            question = fill_template(tpl, seg.text, lexicon)
-            if question is None or question in seen:
-                continue
-            seen.add(question)
-            pairs.append(TrainingPair(question, seg.text, TASK_TEMPQG, seg.doc_id))
-    return pairs
+    return [
+        TrainingPair(question, seg.text, TASK_TEMPQG, seg.doc_id)
+        for seg in segments
+        for question in dict.fromkeys(
+            generate_questions(seg.text, template_pool, engine, lexicon, n_templates)
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 
 from bioir.cli import main
 from bioir.corpus import read_jsonl
+from bioir.pipeline import PipelineConfig, run_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +129,42 @@ class TestChain:
         assert "distinct terms" in capsys.readouterr().out
 
 
+class TestCliPipelineParity:
+    """The subcommand chain and a pipeline run on the same settings write the same bytes."""
+
+    SHARED = {
+        "segments": "segments.jsonl",
+        "stats": "doc_stats.json",
+        "bm25": "bm25_index.json",
+        "bm25_seg_run": "run_bm25_segments.trec",
+        "bm25_doc_run": "run_bm25_docs.trec",
+        "rsm": "pairs_pretrain.jsonl",
+        "templates": "templates_raw.jsonl",
+        "pool": "template_pool.jsonl",
+        "tempqg": "pairs_tempqg.jsonl",
+        "model": "model.pdmo",
+        "dense": "dense_index.pdix",
+        "dense_seg_run": "run_dense_segments.trec",
+        "dense_doc_run": "run_dense_docs.trec",
+        "hybrid_run": "run_hybrid_docs.trec",
+    }
+
+    def test_chain_and_pipeline_write_identical_files(self, ws):
+        fx, workdir = ws["fx"], ws["root"] / "parity"
+        run_pipeline(PipelineConfig(
+            corpus=f"{fx}/corpus.jsonl", queries=f"{fx}/queries.jsonl",
+            qrels=f"{fx}/qrels.tsv", train_questions=f"{fx}/train_questions.jsonl",
+            lexicon=f"{fx}/lexicon.tsv", workdir=str(workdir), mode="hybrid",
+            dim=16, n_hash=2, epochs=2, batch_size=8, seed=0, train_seed=0, top_docs=10,
+        ))
+        differ = [
+            f"{ws[key].name} vs {name}"
+            for key, name in self.SHARED.items()
+            if ws[key].read_bytes() != (workdir / name).read_bytes()
+        ]
+        assert not differ, differ
+
+
 class TestSeeds:
     def test_fixture_seed_defaults_to_one(self, tmp_path):
         assert main(["fixture", "--out-dir", str(tmp_path / "a"), "--n-docs", "10"]) == 0
@@ -188,6 +225,38 @@ class TestExitCodes:
         assert main(["pipeline"]) == 2
         assert "requires --config" in capsys.readouterr().err
 
+    def test_missing_or_unwritable_path_is_two(self, ws, tmp_path, capsys):
+        missing, unwritable = tmp_path / "nope.json", tmp_path / "no_dir" / "out"
+        fx = ws["fx"]
+        cases = [
+            (["search-bm25", "--index", str(missing), "--queries", f"{fx}/queries.jsonl",
+              "--out", str(tmp_path / "r.trec")], missing),
+            (["search-bm25", "--index", str(ws["bm25"]), "--queries", f"{fx}/queries.jsonl",
+              "--out", str(unwritable)], unwritable),
+            (["segment", "--corpus", str(missing), "--out", str(tmp_path / "s.jsonl")], missing),
+            (["segment", "--corpus", f"{fx}/corpus.jsonl", "--out", str(unwritable)], unwritable),
+        ]
+        wrong = []
+        for argv, path in cases:
+            try:
+                rc = main(argv)
+            except Exception as exc:  # a traceback is exactly what must not happen
+                wrong.append(f"{argv[0]} {path.name}: raised {exc!r}")
+                continue
+            err = capsys.readouterr().err
+            if rc != 2 or "config error" not in err or str(path) not in err:
+                wrong.append(f"{argv[0]} {path.name}: exit {rc}, stderr {err!r}")
+        assert not wrong, wrong
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_train_rejects_non_finite_learning_rate(self, ws, tmp_path, capsys, rate):
+        out = tmp_path / "model.pdmo"
+        rc = main(["train", "--pairs", str(ws["tempqg"]), "--dim", "8", "--n-hash", "2",
+                   "--epochs", "1", "--learning-rate", rate, "--out", str(out)])
+        assert rc == 2
+        assert "learning rate" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPipelineCommand:
     def write_config(self, ws, workdir):
@@ -231,6 +300,18 @@ class TestPipelineCommand:
         conf.write_text("no_such_key = 1\n")
         assert main(["pipeline", "--config", str(conf)]) == 2
         assert "no_such_key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        "k1=nan", "b=inf", "cluster_threshold=nan", "learning_rate=inf", "learning_rate=-inf",
+        "top_k=0", "top_docs=0", "cutoff=0",
+    ])
+    def test_bad_numeric_value_rejected_before_any_stage(self, ws, capsys, override):
+        workdir = ws["root"] / f"pw_{override.replace('=', '_').replace('-', 'm')}"
+        conf = self.write_config(ws, workdir)
+        assert main(["pipeline", "--config", str(conf), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and override.split("=")[0] in err
+        assert not workdir.exists()
 
 
 def container_variants(raw: bytes):
@@ -280,5 +361,55 @@ class TestCorruptDenseArtifacts:
                 continue
             err = capsys.readouterr().err
             if rc != 3 or "data error" not in err or str(paths[kind]) not in err:
+                wrong.append(f"{label}: exit {rc}, stderr {err!r}")
+        assert not wrong, wrong
+
+
+def bm25_index_variants(raw: bytes):
+    """(label, bytes) for corrupt copies of a BM25 index file."""
+    index = json.loads(raw)
+
+    def dump(obj):
+        return json.dumps(obj).encode()
+
+    for cut in (0, 1, 300, len(raw) // 2, len(raw) - 1):
+        yield f"truncated at {cut}", raw[:cut]
+    yield "top level a list", b"[1, 2]"
+    for key in sorted(index):
+        yield f"without '{key}'", dump({k: v for k, v in index.items() if k != key})
+        yield f"'{key}' mistyped", dump({**index, key: "x"})
+    first_ref = sorted(index["segment_lengths"])[0]
+    yield "length not an integer", dump(
+        {**index, "segment_lengths": {**index["segment_lengths"], first_ref: "3"}}
+    )
+    term = sorted(index["postings"])[0]
+    for label, posting in [
+        ("posting of one element", ["a"]),
+        ("posting count a string", [first_ref, "2"]),
+        ("posting of an unknown segment", ["no-such-segment", 1]),
+        ("posting not a list", 5),
+    ]:
+        yield label, dump({**index, "postings": {**index["postings"], term: [posting]}})
+
+
+class TestCorruptBm25Index:
+    def test_corrupt_index_is_data_error(self, ws, tmp_path, capsys):
+        path = tmp_path / "bm25.json"
+        argv = ["search-bm25", "--index", str(path), "--queries", f"{ws['fx']}/queries.jsonl",
+                "--out", str(tmp_path / "run.trec")]
+        path.write_bytes(ws["bm25"].read_bytes())
+        assert main(argv) == 0
+        capsys.readouterr()
+
+        wrong = []
+        for label, data in bm25_index_variants(ws["bm25"].read_bytes()):
+            path.write_bytes(data)
+            try:
+                rc = main(argv)
+            except Exception as exc:  # a traceback is exactly what must not happen
+                wrong.append(f"{label}: raised {exc!r}")
+                continue
+            err = capsys.readouterr().err
+            if rc != 3 or "data error" not in err or str(path) not in err:
                 wrong.append(f"{label}: exit {rc}, stderr {err!r}")
         assert not wrong, wrong
