@@ -260,6 +260,8 @@ def compute_stats(units: Iterable[Document] | Iterable[Segment]) -> CorpusStats:
     doc_freq: Counter = Counter()
     term_freqs: dict[str, Counter] = {}
     total_len = 0
+    # One string object per distinct term, shared by every unit's counts.
+    canonical: dict[str, str] = {}
     for u in units:
         if isinstance(u, Document):
             uid, text = u.doc_id, u.text
@@ -267,7 +269,7 @@ def compute_stats(units: Iterable[Document] | Iterable[Segment]) -> CorpusStats:
             uid, text = u.segment_id, u.text
         if uid in term_freqs:
             raise DataError(f"duplicate unit id '{uid}' in statistics input")
-        tf = Counter(tokenize(text))
+        tf = Counter(canonical.setdefault(t, t) for t in tokenize(text))
         term_freqs[uid] = tf
         total_len += sum(tf.values())
         doc_freq.update(tf.keys())
@@ -331,6 +333,19 @@ def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
             if not isinstance(obj, dict):
                 raise DataError(f"{path}:{lineno}: expected a JSON object")
             yield lineno, obj
+
+
+def str_field(obj: dict, key: str, path: str, lineno: int, record: str) -> str:
+    """obj[key] from a `record` line of a JSONL file; a missing key or a value
+    that is not a JSON string raises DataError naming path:line."""
+    try:
+        value = obj[key]
+    except KeyError:
+        raise DataError(f"{path}:{lineno}: {record} record lacks '{key}'") from None
+    if not isinstance(value, str):
+        raise DataError(f"{path}:{lineno}: {record} field '{key}' must be a string, "
+                        f"got {type(value).__name__}")
+    return value
 
 
 def write_jsonl(path: str, rows: Iterable[dict]) -> None:

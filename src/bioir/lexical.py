@@ -5,9 +5,9 @@ ln(1 + (N - df + 0.5)/(df + 0.5)) form, which stays positive even for terms
 present in every segment, and query terms are deduplicated before scoring.
 Defaults k1=0.9, b=0.4 are tuned for short biomedical queries.
 
-Both bm25_score and search_bm25 iterate query terms in sorted order so the
-posting-list accumulation and the per-segment loop add the same floats in the
-same order and agree bitwise.
+Both bm25_score and bm25_scores (which search_bm25 ranks) iterate query terms
+in sorted order so the posting-list accumulation and the per-segment loop add
+the same floats in the same order and agree bitwise.
 """
 
 from __future__ import annotations
@@ -147,6 +147,13 @@ def search_bm25(index: InvertedIndex, query: str, top_k: int) -> list[tuple[str,
     """Top-k segments by BM25, ties broken by segment id. Zero scores are dropped."""
     if top_k <= 0:
         raise ConfigError(f"top_k must be positive, got {top_k}")
+    hits = [(ref, s) for ref, s in bm25_scores(index, query).items() if s > 0.0]
+    hits.sort(key=lambda h: (-h[1], h[0]))
+    return hits[:top_k]
+
+
+def bm25_scores(index: InvertedIndex, query: str) -> dict[str, float]:
+    """BM25 score of every segment that shares a term with the query, unranked."""
     acc: dict[str, float] = {}
     for t in sorted(set(tokenize(query))):
         posting = index.postings.get(t)
@@ -157,6 +164,4 @@ def search_bm25(index: InvertedIndex, query: str, top_k: int) -> list[tuple[str,
             length = index.segment_lengths[ref]
             contrib = idf * tf * (index.k1 + 1.0) / _norm_denominator(index, tf, length)
             acc[ref] = acc.get(ref, 0.0) + contrib
-    hits = [(ref, s) for ref, s in acc.items() if s > 0.0]
-    hits.sort(key=lambda h: (-h[1], h[0]))
-    return hits[:top_k]
+    return acc

@@ -33,6 +33,7 @@ from .corpus import (
     read_jsonl,
     save_segments,
     segment_corpus,
+    str_field,
     write_jsonl,
 )
 from .embedding import EmbeddingProvider, HashingEmbedder, provider_from_spec
@@ -212,10 +213,8 @@ def load_queries(path: str) -> list[tuple[str, str]]:
     queries = []
     seen: set[str] = set()
     for lineno, obj in read_jsonl(path):
-        try:
-            qid, text = obj["query_id"], obj["text"]
-        except KeyError as exc:
-            raise DataError(f"{path}:{lineno}: query record lacks {exc}") from None
+        qid = str_field(obj, "query_id", path, lineno, "query")
+        text = str_field(obj, "text", path, lineno, "query")
         if qid in seen:
             raise DataError(f"{path}:{lineno}: duplicate query id '{qid}'")
         seen.add(qid)
@@ -227,10 +226,8 @@ def load_questions(path: str) -> list[tuple[str, str]]:
     """Template-extraction questions: {"question_id", "text"} JSONL."""
     questions = []
     for lineno, obj in read_jsonl(path):
-        try:
-            questions.append((obj["question_id"], obj["text"]))
-        except KeyError as exc:
-            raise DataError(f"{path}:{lineno}: question record lacks {exc}") from None
+        questions.append((str_field(obj, "question_id", path, lineno, "question"),
+                          str_field(obj, "text", path, lineno, "question")))
     return questions
 
 
@@ -290,6 +287,8 @@ class PipelineRunner:
         try:
             fn()
         except (ConfigError, DataError, StageError, OSError) as exc:
+            if isinstance(exc, StageError) and exc.stage == name:
+                raise
             raise StageError(name, str(exc)) from exc
         for p in outputs:
             if not os.path.exists(p):

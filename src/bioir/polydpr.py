@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import ConfigError, DataError
+from . import ConfigError, DataError, StageError
 from .corpus import Segment
 from .embedding import EmbeddingProvider
 from .pretrain import TrainingPair
@@ -550,7 +550,9 @@ def train(
     With pretrain pairs, the sequential schedule runs a full pass over them
     first and then over the main pairs; the multitask schedule interleaves
     batches from both sets round-robin within every epoch. Per-epoch mean
-    losses land in the returned model's provenance.
+    losses land in the returned model's provenance. A non-finite batch loss,
+    or non-finite parameters at the end of an epoch, raise StageError naming
+    the epoch (counted across both phases) and the step.
     """
     if not pairs:
         raise DataError("no training pairs")
@@ -573,13 +575,20 @@ def train(
                 for set_idx, set_batches in enumerate(per_set):
                     if i < len(set_batches):
                         batches.append((set_idx, set_batches[i]))
+            epoch = len(losses) + 1
             epoch_losses = []
-            for set_idx, idx in batches:
+            for step, (set_idx, idx) in enumerate(batches, start=1):
                 U, Hs = sets[set_idx]
                 loss, g_M, g_P = _batch_loss_and_grads(M, P, U[idx], [Hs[i] for i in idx])
+                if not math.isfinite(loss):
+                    raise StageError("train", f"non-finite loss {loss} at epoch {epoch} step {step}; "
+                                     "lower the learning rate")
                 M -= config.learning_rate * g_M
                 P -= config.learning_rate * g_P
                 epoch_losses.append(loss)
+            if not (np.isfinite(M).all() and np.isfinite(P).all()):
+                raise StageError("train", f"non-finite parameters after epoch {epoch}; "
+                                 "lower the learning rate")
             losses.append(float(np.mean(epoch_losses)) if epoch_losses else math.nan)
 
     main_set = _embed_pairs(pairs, provider)

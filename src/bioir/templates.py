@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from . import ConfigError, DataError
-from .corpus import CorpusStats, Segment, UnitKind, tokenize, read_jsonl, write_jsonl
-from .lexical import build_index, search_bm25
+from .corpus import CorpusStats, Segment, UnitKind, read_jsonl, str_field, tokenize, write_jsonl
+from .lexical import bm25_scores, build_index
 from .pretrain import TASK_TEMPQG, TrainingPair
 
 _PUNCT = string.punctuation
@@ -249,19 +249,32 @@ def _pattern_bag(pattern: str, stats: CorpusStats | None) -> dict[str, float]:
     }
 
 
-def template_similarity(a: Template, b: Template, stats: CorpusStats | None = None) -> float:
+# A pattern's term bag and its squared norm.
+WeightedBag = tuple[dict[str, float], float]
+
+
+def _weighted_bag(pattern: str, stats: CorpusStats | None) -> WeightedBag:
+    bag = _pattern_bag(pattern, stats)
+    return bag, sum(v * v for v in bag.values())
+
+
+def template_similarity(
+    a: Template,
+    b: Template,
+    stats: CorpusStats | None = None,
+    bags: tuple[WeightedBag, WeightedBag] | None = None,
+) -> float:
     """Cosine over term bags of the patterns with blanks removed, clamped to [0, 1].
 
     Bags are plain term counts; passing corpus statistics weights them by
-    idf (floored at zero). Two blank-only patterns score 0.
+    idf (floored at zero). Two blank-only patterns score 0. `bags` passes in
+    the `_weighted_bag` of a and b, computed with the same stats, so that a
+    caller comparing each template many times builds its bag once.
     """
-    va = _pattern_bag(a.pattern, stats)
-    vb = _pattern_bag(b.pattern, stats)
+    (va, na), (vb, nb) = bags or (_weighted_bag(a.pattern, stats), _weighted_bag(b.pattern, stats))
     dot = sum(va[t] * vb.get(t, 0.0) for t in va)
     # One sqrt over the product keeps self-similarity at exactly 1.0.
-    denom = math.sqrt(
-        sum(v * v for v in va.values()) * sum(v * v for v in vb.values())
-    )
+    denom = math.sqrt(na * nb)
     if denom == 0.0:
         return 0.0
     return min(1.0, max(0.0, dot / denom))
@@ -276,23 +289,25 @@ def cluster_templates(
 
     A template joins the first cluster whose every member it matches at or
     above the threshold, else it opens a new cluster. cluster_id is set on
-    each template.
+    each template. Each template's bag is built once, not once per comparison.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"cluster threshold must lie in [0, 1], got {threshold}")
-    clusters: list[list[Template]] = []
-    for tpl in templates:
-        placed = False
+    bags = [_weighted_bag(t.pattern, stats) for t in templates]
+    clusters: list[list[int]] = []
+    for i, tpl in enumerate(templates):
         for cid, members in enumerate(clusters):
-            if all(template_similarity(tpl, m, stats) >= threshold for m in members):
+            if all(
+                template_similarity(tpl, templates[j], stats, bags=(bags[i], bags[j])) >= threshold
+                for j in members
+            ):
                 tpl.cluster_id = cid
-                members.append(tpl)
-                placed = True
+                members.append(i)
                 break
-        if not placed:
+        else:
             tpl.cluster_id = len(clusters)
-            clusters.append([tpl])
-    return clusters
+            clusters.append([i])
+    return [[templates[j] for j in members] for members in clusters]
 
 
 def pick_representative(cluster: Sequence[Template], second_smallest: bool = False) -> Template:
@@ -314,42 +329,62 @@ TemplateScorer = Callable[[str, Sequence[Template]], list[float]]
 
 
 class LexicalTemplateScorer:
-    """BM25 over template patterns, context as the query. No model required."""
+    """BM25 over template patterns, context as the query. No model required.
+
+    The pseudo-segment index is built once per pool: it is rebuilt only when
+    the patterns differ from the previous call's. Every template gets a score,
+    so the scores are read unranked; a template sharing no term scores 0.
+    """
+
+    def __init__(self):
+        self._patterns: tuple[str, ...] | None = None
+        self._index = None
 
     def __call__(self, context: str, templates: Sequence[Template]) -> list[float]:
         if not templates:
             return []
-        pseudo = [
-            Segment(f"tpl{i}", f"tpl{i}", 0, UnitKind.FULL_DOC, t.pattern)
-            for i, t in enumerate(templates)
-        ]
-        index = build_index(pseudo)
-        hits = dict(search_bm25(index, context, top_k=len(pseudo)))
-        return [hits.get(f"tpl{i}", 0.0) for i in range(len(templates))]
+        patterns = tuple(t.pattern for t in templates)
+        if patterns != self._patterns:
+            self._index = build_index([
+                Segment(f"tpl{i}", f"tpl{i}", 0, UnitKind.FULL_DOC, pattern)
+                for i, pattern in enumerate(patterns)
+            ])
+            self._patterns = patterns
+        scores = bm25_scores(self._index, context)
+        return [scores.get(f"tpl{i}", 0.0) for i in range(len(patterns))]
 
 
 class DenseTemplateScorer:
-    """Max-similarity of the context's query vector against each template's codes."""
+    """Max-similarity of the context's query vector against each template's codes.
+
+    Template encodings are computed once per pool, like LexicalTemplateScorer's
+    index.
+    """
 
     def __init__(self, provider, codes, projection=None):
         self.provider = provider
         self.codes = codes
         self.projection = projection
+        self._patterns: tuple[str, ...] | None = None
+        self._encoded: list = []
 
     def __call__(self, context: str, templates: Sequence[Template]) -> list[float]:
         from .polydpr import encode_context, infer_similarity
 
+        patterns = tuple(t.pattern for t in templates)
+        if patterns != self._patterns:
+            # None marks a pattern with no tokens, which scores 0.
+            self._encoded = [
+                encode_context(self.provider.token_vectors(pattern), self.codes)
+                if tokenize(pattern) else None
+                for pattern in patterns
+            ]
+            self._patterns = patterns
         v = self.provider.query_vector(context)
         if self.projection is not None:
             v = self.projection @ v
-        scores = []
-        for tpl in templates:
-            if not tokenize(tpl.pattern):
-                scores.append(0.0)
-                continue
-            vectors = encode_context(self.provider.token_vectors(tpl.pattern), self.codes)
-            scores.append(infer_similarity(v, vectors))
-        return scores
+        return [0.0 if vectors is None else infer_similarity(v, vectors)
+                for vectors in self._encoded]
 
 
 def select_templates(
@@ -396,14 +431,18 @@ def fill_template(
     template: Template,
     context: str,
     lexicon: EntityLexicon,
+    entities: Sequence[EntitySpan] | None = None,
 ) -> str | None:
     """Fill blanks left to right with ranked distinct context entities.
 
     Ranking prefers lexicon hits, then longer spans, then earlier occurrence.
+    `entities` passes in the context's `_ranked_context_entities`, so that a
+    caller filling many templates against one context tags it once.
     Returns None when the blanks outnumber the available entities. The result
     starts with a capital and ends with "?".
     """
-    entities = _ranked_context_entities(context, lexicon)
+    if entities is None:
+        entities = _ranked_context_entities(context, lexicon)
     toks = template.pattern.split()
     n_blanks = sum(1 for t in toks if _is_blank(t))
     if n_blanks > len(entities):
@@ -431,10 +470,15 @@ def generate_questions(
     lexicon: EntityLexicon,
     n_templates: int = DEFAULT_POOL_SIZE,
 ) -> list[str]:
-    """Fill the context's top-ranked pool templates, dropping failed fills."""
+    """Fill the context's top-ranked pool templates, dropping failed fills.
+
+    The context's entities are tagged and ranked once for all its templates.
+    """
+    selected = select_templates(context, pool, engine, n_templates)
+    entities = _ranked_context_entities(context, lexicon)
     questions = []
-    for tpl in select_templates(context, pool, engine, n_templates):
-        question = fill_template(tpl, context, lexicon)
+    for tpl in selected:
+        question = fill_template(tpl, context, lexicon, entities=entities)
         if question is not None:
             questions.append(question)
     return questions
@@ -479,10 +523,8 @@ def save_templates(path: str, templates: Iterable[Template]) -> None:
 def load_templates(path: str) -> list[Template]:
     out = []
     for lineno, obj in read_jsonl(path):
-        try:
-            out.append(Template(obj["pattern"], list(obj.get("source_question_ids", []))))
-        except KeyError:
-            raise DataError(f"{path}:{lineno}: template record lacks 'pattern'") from None
+        pattern = str_field(obj, "pattern", path, lineno, "template")
+        out.append(Template(pattern, list(obj.get("source_question_ids", []))))
     return out
 
 
@@ -493,8 +535,9 @@ def save_pool(path: str, pool: Iterable[Template]) -> None:
 def load_pool(path: str) -> list[Template]:
     out = []
     for lineno, obj in read_jsonl(path):
+        pattern = str_field(obj, "pattern", path, lineno, "pool")
         try:
-            out.append(Template(obj["pattern"], cluster_id=obj["cluster_id"]))
+            out.append(Template(pattern, cluster_id=obj["cluster_id"]))
         except KeyError as exc:
             raise DataError(f"{path}:{lineno}: pool record lacks {exc}") from None
     return out

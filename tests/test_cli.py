@@ -257,6 +257,50 @@ class TestExitCodes:
         assert "learning rate" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_diverging_training_is_stage_failure(self, ws, tmp_path, capsys):
+        out = tmp_path / "model.pdmo"
+        rc = main(["train", "--pairs", str(ws["tempqg"]), "--dim", "8", "--n-hash", "2",
+                   "--epochs", "2", "--batch-size", "4", "--learning-rate", "1e200",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert "non-finite" in err and "epoch 1 step" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_mistyped_string_field_is_data_error(self, ws, tmp_path, capsys):
+        fx = ws["fx"]
+        bad = tmp_path / "bad.jsonl"
+        out = str(tmp_path / "out")
+        lexicon = f"{fx}/lexicon.tsv"
+        # (argv reading `bad`, record with one field of the wrong JSON type)
+        cases = [
+            (["search-bm25", "--index", str(ws["bm25"]), "--queries", str(bad), "--out", out],
+             {"query_id": "q1", "text": 5}),
+            (["search-bm25", "--index", str(ws["bm25"]), "--queries", str(bad), "--out", out],
+             {"query_id": 1, "text": "what binds p53"}),
+            (["extract-templates", "--questions", str(bad), "--lexicon", lexicon, "--out", out],
+             {"question_id": "q1", "text": ["what", "binds"]}),
+            (["extract-templates", "--questions", str(bad), "--lexicon", lexicon, "--out", out],
+             {"question_id": None, "text": "what binds p53"}),
+            (["cluster-templates", "--templates", str(bad), "--out", out],
+             {"pattern": 3, "source_question_ids": ["q1"]}),
+            (["build-tempqg", "--segments", str(ws["segments"]), "--pool", str(bad),
+              "--lexicon", lexicon, "--out", out], {"pattern": {"a": "_"}, "cluster_id": 0}),
+        ]
+        wrong = []
+        for argv, record in cases:
+            bad.write_text(json.dumps({k: "x" for k in record}) + "\n" + json.dumps(record) + "\n")
+            try:
+                rc = main(argv)
+            except Exception as exc:  # a traceback is exactly what must not happen
+                wrong.append(f"{argv[0]} {record}: raised {exc!r}")
+                continue
+            err = capsys.readouterr().err
+            if rc != 3 or "data error" not in err or f"{bad}:2" not in err:
+                wrong.append(f"{argv[0]} {record}: exit {rc}, stderr {err!r}")
+        assert not wrong, wrong
+
 
 class TestPipelineCommand:
     def write_config(self, ws, workdir):
@@ -294,6 +338,20 @@ class TestPipelineCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert "MAP@5" in out
+
+    def test_diverging_training_fails_the_train_stage(self, ws, capsys):
+        workdir = ws["root"] / "pw_diverge"
+        conf = self.write_config(ws, workdir)
+        fx = ws["fx"]
+        with open(conf, "a", encoding="utf-8") as fh:
+            fh.write(f"train_questions = {fx}/train_questions.jsonl\nlexicon = {fx}/lexicon.tsv\n")
+        rc = main(["pipeline", "--config", str(conf), "--set", "mode=dense", "--set", "epochs=2",
+                   "--set", "dim=8", "--set", "learning_rate=1e200"])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.count("stage 'train' failed") == 1 and "non-finite" in err
+        assert "Traceback" not in err
+        assert not (workdir / "model.pdmo").exists()
 
     def test_unknown_config_key_is_two(self, ws, tmp_path, capsys):
         conf = tmp_path / "bad.conf"

@@ -160,6 +160,13 @@ class TestStats:
         b = compute_stats(list(reversed(small_docs)))
         assert a.to_json() == b.to_json()
 
+    def test_term_strings_shared_across_units(self, small_stats):
+        # "receptor" and "damaged" each occur in two units: one str object serves both.
+        seen = {}
+        for tf in small_stats.term_freqs.values():
+            for term in tf:
+                assert seen.setdefault(term, term) is term
+
     def test_phrase_df(self, small_docs, small_stats):
         # "damaged proteins" occurs in d1 and d4 (both words in the same unit).
         assert small_stats.phrase_df(["damaged", "proteins"]) == 2

@@ -10,6 +10,7 @@ from bioir.lexical import (
     DEFAULT_K1,
     InvertedIndex,
     bm25_score,
+    bm25_scores,
     build_index,
     search_bm25,
 )
@@ -90,6 +91,7 @@ class TestSearch:
                 sc = bm25_score(index, terms, s.segment_id)
                 if sc > 0:
                     brute.append((s.segment_id, sc))
+            assert bm25_scores(index, query) == dict(brute)
             brute.sort(key=lambda x: (-x[1], x[0]))
             assert got == brute[:20]
 

@@ -1,12 +1,15 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from bioir import DataError
-from bioir.corpus import Document, Segment, UnitKind, compute_stats
-from bioir.pretrain import TASK_TEMPQG
+from bioir import templates as templates_module
+from bioir.corpus import Document, Segment, UnitKind, compute_stats, tokenize
+from bioir.pretrain import TASK_TEMPQG, TrainingPair
 from bioir.templates import (
+    DenseTemplateScorer,
     EntityLexicon,
     EntitySpan,
     LexicalTemplateScorer,
@@ -374,3 +377,229 @@ class TestTemplateIo:
         save_pool(p, pool)
         back = load_pool(p)
         assert [(t.pattern, t.cluster_id) for t in back] == [("a _", 0), ("b _", 1)]
+
+
+# ---------------------------------------------------------------------------
+# Differential check of the precomputing implementation against a reference
+# that recomputes per call: bags per comparison, context entities per fill.
+
+def _ref_pattern_bag(pattern, stats):
+    counts = Counter(tokenize(pattern))
+    if stats is None:
+        return {t: float(c) for t, c in counts.items()}
+    n = stats.num_docs
+    return {t: c * max(0.0, math.log(n / (1 + stats.df(t)))) for t, c in counts.items()}
+
+
+def ref_template_similarity(a, b, stats=None):
+    va = _ref_pattern_bag(a.pattern, stats)
+    vb = _ref_pattern_bag(b.pattern, stats)
+    dot = sum(va[t] * vb.get(t, 0.0) for t in va)
+    denom = math.sqrt(sum(v * v for v in va.values()) * sum(v * v for v in vb.values()))
+    if denom == 0.0:
+        return 0.0
+    return min(1.0, max(0.0, dot / denom))
+
+
+def ref_cluster_ids(templates, threshold, stats):
+    clusters = []
+    ids = []
+    for tpl in templates:
+        for cid, members in enumerate(clusters):
+            if all(ref_template_similarity(tpl, m, stats) >= threshold for m in members):
+                members.append(tpl)
+                ids.append(cid)
+                break
+        else:
+            ids.append(len(clusters))
+            clusters.append([tpl])
+    return ids
+
+
+def ref_fill_template(template, context, lexicon):
+    entities = templates_module._ranked_context_entities(context, lexicon)
+    toks = template.pattern.split()
+    if sum(1 for t in toks if templates_module._is_blank(t)) > len(entities):
+        return None
+    out = []
+    next_entity = 0
+    for tok in toks:
+        if templates_module._is_blank(tok):
+            cut = tok.index("_")
+            out.append(f"{tok[:cut]}{entities[next_entity].surface}{tok[cut + 1:]}")
+            next_entity += 1
+        else:
+            out.append(tok)
+    question = " ".join(out).strip()
+    question = question[:1].upper() + question[1:]
+    if not question.endswith("?"):
+        question += "?"
+    return question
+
+
+def ref_build_tempqg_pairs(segments, pool, lexicon, n_templates):
+    def rebuilding_scorer(context, templates):  # a fresh BM25 index per call
+        return LexicalTemplateScorer()(context, templates)
+
+    pairs = []
+    for seg in segments:
+        questions = []
+        for tpl in select_templates(seg.text, pool, rebuilding_scorer, n_templates):
+            question = ref_fill_template(tpl, seg.text, lexicon)
+            if question is not None:
+                questions.append(question)
+        pairs.extend(TrainingPair(q, seg.text, TASK_TEMPQG, seg.doc_id)
+                     for q in dict.fromkeys(questions))
+    return pairs
+
+
+_WORDS = ["what", "which", "is", "does", "the", "of", "in", "receptor", "gene", "level",
+          "disease", "binds", "regulates", "cell", "protein", "expression", "role", "treat"]
+_BLANKS = ["_", "_?", "(_)", "_,"]
+
+
+def distinct_templates(rng, n):
+    """n templates with pairwise-distinct patterns over a small shared vocabulary."""
+    patterns = {}
+    while len(patterns) < n:
+        toks = [rng.choice(_WORDS) for _ in range(rng.randint(2, 8))]
+        for _ in range(rng.randint(0, 2)):
+            toks.insert(rng.randint(0, len(toks)), rng.choice(_BLANKS))
+        patterns.setdefault(" ".join(toks), None)
+    return [Template(p) for p in patterns]
+
+
+def random_contexts(rng, n, lexicon_surfaces):
+    fillers = _WORDS + ["Heat", "Shock", "Factor", "IL6", "p53", "CD4", "tightly,", "(BRCA1)"]
+    segs = []
+    for i in range(n):
+        toks = [rng.choice(fillers + lexicon_surfaces) for _ in range(rng.randint(1, 14))]
+        segs.append(Segment(f"s{i}#two_sent#0", f"d{i}", 0, UnitKind.TWO_SENT, " ".join(toks) + "."))
+    return segs
+
+
+class TestPrecomputeMatchesReference:
+    @pytest.fixture(params=[False, True], ids=["counts", "idf"])
+    def case(self, request):
+        rng = random.Random(2024 + request.param)
+        tpls = distinct_templates(rng, 320)
+        stats = None
+        if request.param:
+            texts = [" ".join(rng.choice(_WORDS) for _ in range(rng.randint(3, 10)))
+                     for _ in range(60)]
+            stats = question_stats(texts)
+        return tpls, stats
+
+    def test_every_pairwise_similarity_equal(self, case):
+        tpls, stats = case
+        bags = [templates_module._weighted_bag(t.pattern, stats) for t in tpls]
+        for i, a in enumerate(tpls):
+            for j, b in enumerate(tpls):
+                want = ref_template_similarity(a, b, stats)
+                assert template_similarity(a, b, stats, bags=(bags[i], bags[j])) == want
+                if j % 7 == 0:
+                    assert template_similarity(a, b, stats) == want
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.75])
+    def test_cluster_assignments_equal(self, case, threshold):
+        tpls, stats = case
+        want = ref_cluster_ids(tpls, threshold, stats)
+        assert len(set(want)) > 1
+        clusters = cluster_templates(tpls, threshold=threshold, stats=stats)
+        assert [t.cluster_id for t in tpls] == want
+        assert [[t.cluster_id for t in c] for c in clusters] == [
+            [cid] * want.count(cid) for cid in range(len(clusters))
+        ]
+
+    def test_pattern_bag_built_once_per_template(self, case, monkeypatch):
+        tpls, stats = case
+        built = []
+        original = templates_module._pattern_bag
+
+        def counting(pattern, stats):
+            built.append(pattern)
+            return original(pattern, stats)
+
+        monkeypatch.setattr(templates_module, "_pattern_bag", counting)
+        cluster_templates(tpls, threshold=0.75, stats=stats)
+        assert sorted(built) == sorted(t.pattern for t in tpls)
+
+    def test_tempqg_pairs_equal(self):
+        rng = random.Random(77)
+        surfaces = ["p53", "heat shock factor", "binds", "tumor necrosis", "IL6"]
+        lex = EntityLexicon({"p53": False, "heat shock factor": False, "binds": True,
+                             "tumor necrosis": False})
+        pool = [t for t in distinct_templates(rng, 300) if t.blank_count][:40]
+        segs = random_contexts(rng, 300, surfaces)
+        want = ref_build_tempqg_pairs(segs, pool, lex, 5)
+        assert len(want) > 100
+        assert build_tempqg_pairs(segs, pool, LexicalTemplateScorer(), lex, n_templates=5) == want
+
+
+class TestScorerCache:
+    POOL_A = ["what binds _", "is _ downstream", "which gene regulates _?", "_"]
+    POOL_B = ["what role does _ play", "_ expression in the cell"]
+    CONTEXTS = ["The receptor binds p53 tightly downstream.",
+                "Gene expression of IL6 plays a role in the cell."]
+
+    def check(self, scorer, fresh_scorer, counter):
+        """Scores per call equal a fresh scorer's; returns the rebuild count per call."""
+        pool_a = [Template(p) for p in self.POOL_A]
+        pool_b = [Template(p) for p in self.POOL_B]
+        rebuilt = []
+
+        def call(context, pool):
+            before = len(counter)
+            got = scorer(context, pool)
+            rebuilt.append(len(counter) - before)
+            assert got == fresh_scorer()(context, pool)
+
+        call(self.CONTEXTS[0], pool_a)
+        call(self.CONTEXTS[1], pool_a)
+        call(self.CONTEXTS[0], pool_b)
+        call(self.CONTEXTS[1], pool_a)
+        pool_a[1] = Template("what gene is _")
+        call(self.CONTEXTS[0], pool_a)
+        pool_a[0].pattern = "the cell binds _"
+        call(self.CONTEXTS[0], pool_a)
+        call(self.CONTEXTS[1], pool_a)
+        return rebuilt
+
+    def test_lexical_builds_one_index_per_pool_change(self, monkeypatch):
+        built = []
+        original = templates_module.build_index
+
+        def counting(segments, *args, **kwargs):
+            built.append(None)
+            return original(segments, *args, **kwargs)
+
+        monkeypatch.setattr(templates_module, "build_index", counting)
+        rebuilt = self.check(LexicalTemplateScorer(), LexicalTemplateScorer, built)
+        assert rebuilt == [1, 0, 1, 1, 1, 1, 0]
+
+    def test_dense_encodes_once_per_pool_change(self, monkeypatch):
+        import numpy as np
+
+        from bioir import polydpr
+        from bioir.embedding import HashingEmbedder
+
+        encoded = []
+        original = polydpr.encode_context
+
+        def counting(token_vectors, codes):
+            encoded.append(None)
+            return original(token_vectors, codes)
+
+        monkeypatch.setattr(polydpr, "encode_context", counting)
+        provider = HashingEmbedder(dim=16, seed=3, n_hash=2)
+        rng = np.random.default_rng(5)
+        codes = polydpr.PolyCodes(rng.normal(size=(3, 16)))
+        projection = rng.normal(size=(16, 16))
+
+        def fresh():
+            return DenseTemplateScorer(provider, codes, projection)
+
+        rebuilt = self.check(fresh(), fresh, encoded)
+        # Pool A's blank-only pattern has no tokens: it scores 0 and is not encoded.
+        a, b = len(self.POOL_A) - 1, len(self.POOL_B)
+        assert rebuilt == [a, 0, b, a, a, a, 0]
