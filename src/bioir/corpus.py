@@ -360,15 +360,14 @@ def load_corpus(path: str) -> list[Document]:
     docs = []
     seen: set[str] = set()
     for lineno, obj in read_jsonl(path):
-        try:
-            doc_id = obj["id"]
-        except KeyError:
-            raise DataError(f"{path}:{lineno}: document record lacks an 'id' field") from None
+        doc_id = str_field(obj, "id", path, lineno, "document")
         if doc_id in seen:
             raise DataError(f"{path}:{lineno}: duplicate document id '{doc_id}'")
         seen.add(doc_id)
+        title, abstract = (str_field(obj, key, path, lineno, "document") if key in obj else ""
+                           for key in ("title", "abstract"))  # both optional
         try:
-            docs.append(Document(doc_id, obj.get("title", ""), obj.get("abstract", "")))
+            docs.append(Document(doc_id, title, abstract))
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
     return docs
@@ -401,18 +400,17 @@ def load_segments(path: str) -> list[Segment]:
     segments = []
     seen: set[str] = set()
     for lineno, obj in read_jsonl(path):
+        segment_id, doc_id, kind, text = (str_field(obj, key, path, lineno, "segment")
+                                          for key in ("segment_id", "doc_id", "unit_kind", "text"))
+        ordinal = obj.get("ordinal")
+        if type(ordinal) is not int:  # excludes bool, which subclasses int
+            raise DataError(f"{path}:{lineno}: segment record needs an integer 'ordinal', "
+                            f"got {ordinal!r}")
+        if segment_id in seen:
+            raise DataError(f"{path}:{lineno}: duplicate segment id '{segment_id}'")
+        seen.add(segment_id)
         try:
-            seg = Segment(
-                segment_id=obj["segment_id"],
-                doc_id=obj["doc_id"],
-                ordinal=obj["ordinal"],
-                unit_kind=UnitKind(obj["unit_kind"]),
-                text=obj["text"],
-            )
-        except (KeyError, ValueError) as exc:
+            segments.append(Segment(segment_id, doc_id, ordinal, UnitKind(kind), text))
+        except (DataError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: bad segment record ({exc})") from None
-        if seg.segment_id in seen:
-            raise DataError(f"{path}:{lineno}: duplicate segment id '{seg.segment_id}'")
-        seen.add(seg.segment_id)
-        segments.append(seg)
     return segments

@@ -2,13 +2,13 @@
 
 Each operation reads its input files, writes its output file and returns what
 it built; the CLI subcommands and the pipeline stages call the same
-operations. A flat key=value config drives the staged run: segment, compute
-stats, build the lexical and dense branches (generating pre-training and
-template-question pairs, training the dense model), search, aggregate
-segments to documents, fuse, and evaluate. Every stage writes a manifest of
-its parameters and the checksums of its inputs and outputs; a stage whose
-manifest still matches is skipped. Nothing in a manifest depends on the wall
-clock, so two identical runs produce byte-identical artifacts.
+operations. A flat key=value config drives the staged run: segment, build the
+lexical and dense branches (generating pre-training and template-question
+pairs, training the dense model), search, aggregate segments to documents,
+fuse, and evaluate. Every stage writes a manifest of its parameters and the
+checksums of its inputs and outputs; a stage whose manifest still matches is
+skipped. Nothing in a manifest depends on the wall clock, so two identical runs
+produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -378,7 +378,12 @@ def bm25_index_file(segments: str, out: str, k1: float, b: float) -> InvertedInd
 
 
 def _search_file(queries: str, out: str, tag: str, search: Callable) -> list[RunList]:
-    runs = [RunList(qid, search(text), method=tag) for qid, text in load_queries(queries)]
+    runs = []
+    for qid, text in load_queries(queries):
+        try:
+            runs.append(RunList(qid, search(text), method=tag))
+        except DataError as exc:
+            raise DataError(f"{queries}: query '{qid}': {exc}") from None
     write_trec_run(out, runs)
     return runs
 
@@ -411,23 +416,17 @@ def dense_search_file(index: str, model: str, queries: str, out: str, top_k: int
     return _search_file(queries, out, tag, lambda text: search_dense(dense, text, provider, top_k))
 
 
-def pretrain_pairs_file(task: str, corpus: str, out: str, etm_m: int, rsm_m: int, seed: int,
-                        stats: str | None = None) -> tuple[list[TrainingPair], int]:
-    """ETM, RSM or ICT pairs and the skipped count. ETM and RSM read term
-    statistics from `stats`, or compute them from the corpus without it."""
+def pretrain_pairs_file(task: str, corpus: str, out: str, etm_m: int, rsm_m: int,
+                        seed: int) -> tuple[list[TrainingPair], int]:
+    """ETM, RSM or ICT pairs and the skipped count. ETM and RSM compute term
+    statistics from the corpus."""
     docs = load_corpus(corpus)
     if task == "ict":
         pairs, skipped = build_ict_pairs(docs, seed=seed)
+    elif task == "etm":
+        pairs, skipped = build_etm_pairs(docs, compute_stats(docs), m=etm_m)
     else:
-        if stats is None:
-            corpus_stats = compute_stats(docs)
-        else:
-            with open(stats, "r", encoding="utf-8") as fh:
-                corpus_stats = CorpusStats.from_json(fh.read())
-        if task == "etm":
-            pairs, skipped = build_etm_pairs(docs, corpus_stats, m=etm_m)
-        else:
-            pairs, skipped = build_rsm_pairs(docs, corpus_stats, m=rsm_m, etm_m=etm_m)
+        pairs, skipped = build_rsm_pairs(docs, compute_stats(docs), m=rsm_m, etm_m=etm_m)
     save_pairs(out, pairs)
     return pairs, skipped
 
@@ -549,21 +548,21 @@ def run_pipeline(config: PipelineConfig) -> tuple[EvalReport, list[StageOutcome]
     if want_dense:
         pretrain = path("pairs_pretrain.jsonl")
         if want_pretrain:
-            stats = None
-            if config.pretrain_task in ("rsm", "etm"):
-                stats = path("doc_stats.json")
-                stage("doc_stats", [corpus], {}, [stats], lambda: stats_file(corpus, stats))
-            stage("pretrain_pairs", [corpus] + ([stats] if stats else []),
+            stage("pretrain_pairs", [corpus],
                   {"task": config.pretrain_task, **keys("etm_m", "rsm_m", "seed")}, [pretrain],
                   lambda: pretrain_pairs_file(config.pretrain_task, corpus, pretrain,
-                                              config.etm_m, config.rsm_m, config.seed, stats))
+                                              config.etm_m, config.rsm_m, config.seed))
 
         tempqg = path("pairs_tempqg.jsonl")
         if want_tempqg:
-            contexts = path("segments_context.jsonl")
             templates, pool = path("templates_raw.jsonl"), path("template_pool.jsonl")
-            stage("segment_context", [corpus], {"unit": config.tempqg_unit}, [contexts],
-                  lambda: segment_file(corpus, contexts, config.tempqg_unit))
+            # TempQG contexts are segments.jsonl unless segment_file would be
+            # called with other arguments.
+            contexts, context_args = segments, (config.tempqg_unit, None, False)
+            if context_args != (config.unit, config.token_budget or None, config.include_title):
+                contexts = path("segments_context.jsonl")
+                stage("segment_context", [corpus], {"unit": config.tempqg_unit}, [contexts],
+                      lambda: segment_file(corpus, contexts, *context_args))
             stage("template_extract", [config.train_questions, config.lexicon],
                   keys("df_threshold"), [templates],
                   lambda: template_extract_file(config.train_questions, config.lexicon,

@@ -23,6 +23,7 @@ from .corpus import (
     Document,
     read_jsonl,
     split_sentences,
+    str_field,
     tfidf_weights,
     tokenize,
     top_keywords,
@@ -184,10 +185,10 @@ def save_pairs(path: str, pairs: Iterable[TrainingPair]) -> None:
 def load_pairs(path: str) -> list[TrainingPair]:
     pairs = []
     for lineno, obj in read_jsonl(path):
+        fields = [str_field(obj, key, path, lineno, "pair")
+                  for key in ("query", "positive", "task", "source_doc_id")]
         try:
-            pairs.append(
-                TrainingPair(obj["query"], obj["positive"], obj["task"], obj["source_doc_id"])
-            )
-        except KeyError as exc:
-            raise DataError(f"{path}:{lineno}: pair record lacks {exc}") from None
+            pairs.append(TrainingPair(*fields))
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
     return pairs

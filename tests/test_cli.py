@@ -134,7 +134,6 @@ class TestCliPipelineParity:
 
     SHARED = {
         "segments": "segments.jsonl",
-        "stats": "doc_stats.json",
         "bm25": "bm25_index.json",
         "bm25_seg_run": "run_bm25_segments.trec",
         "bm25_doc_run": "run_bm25_docs.trec",
@@ -273,6 +272,8 @@ class TestExitCodes:
         bad = tmp_path / "bad.jsonl"
         out = str(tmp_path / "out")
         lexicon = f"{fx}/lexicon.tsv"
+        segment = {"segment_id": "s1", "doc_id": "d1", "ordinal": 0, "unit_kind": "two_sent",
+                   "text": "p53 binds"}
         # (argv reading `bad`, record with one field of the wrong JSON type)
         cases = [
             (["search-bm25", "--index", str(ws["bm25"]), "--queries", str(bad), "--out", out],
@@ -287,10 +288,21 @@ class TestExitCodes:
              {"pattern": 3, "source_question_ids": ["q1"]}),
             (["build-tempqg", "--segments", str(ws["segments"]), "--pool", str(bad),
               "--lexicon", lexicon, "--out", out], {"pattern": {"a": "_"}, "cluster_id": 0}),
+            (["train", "--pairs", str(bad), "--dim", "8", "--n-hash", "2", "--epochs", "1",
+              "--out", out], {"query": 5, "positive": "p53 binds", "task": "RSM",
+                              "source_doc_id": "d1"}),
+            (["build-bm25", "--segments", str(bad), "--out", out], dict(segment, text=5)),
+            (["build-bm25", "--segments", str(bad), "--out", out], dict(segment, ordinal="zero")),
+            (["build-bm25", "--segments", str(bad), "--out", out], dict(segment, ordinal=True)),
+            (["segment", "--corpus", str(bad), "--out", out],
+             {"id": 1, "title": 5, "abstract": ["x"]}),
         ]
+        # Line 1 holds the same keys with valid values, so line 2 is the first bad one.
+        valid = {"ordinal": 0, "unit_kind": "two_sent", "task": "RSM"}
         wrong = []
         for argv, record in cases:
-            bad.write_text(json.dumps({k: "x" for k in record}) + "\n" + json.dumps(record) + "\n")
+            good = {k: valid.get(k, "x") for k in record}
+            bad.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
             try:
                 rc = main(argv)
             except Exception as exc:  # a traceback is exactly what must not happen
@@ -300,6 +312,21 @@ class TestExitCodes:
             if rc != 3 or "data error" not in err or f"{bad}:2" not in err:
                 wrong.append(f"{argv[0]} {record}: exit {rc}, stderr {err!r}")
         assert not wrong, wrong
+
+    def test_unembeddable_query_names_file_and_id(self, ws, tmp_path, capsys):
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text(json.dumps({"query_id": "q1", "text": "what binds p53"}) + "\n"
+                           + json.dumps({"query_id": "q-punct", "text": "???"}) + "\n")
+        out = tmp_path / "run.trec"
+        rc = main(["search-dense", "--index", str(ws["dense"]), "--model", str(ws["model"]),
+                   "--queries", str(queries), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert f"{queries}: query 'q-punct'" in err and "no tokens" in err
+        assert not out.exists()
+        # BM25 has no such restriction: the same query finds nothing.
+        assert main(["search-bm25", "--index", str(ws["bm25"]), "--queries", str(queries),
+                     "--out", str(out)]) == 0
 
 
 class TestPipelineCommand:

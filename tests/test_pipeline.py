@@ -11,13 +11,16 @@ import os
 import pytest
 
 from bioir import ConfigError, StageError
+from bioir.corpus import UnitKind, load_corpus, load_segments, segment_corpus
 from bioir.fixture import make_synthetic_fixture
 from bioir.pipeline import (
     PipelineConfig,
+    file_checksum,
     load_queries,
     load_questions,
     run_pipeline,
 )
+from bioir.pretrain import load_pairs
 
 
 @pytest.fixture(scope="module")
@@ -276,12 +279,18 @@ class TestDenseRun:
         config = self.tiny(fx, tmp_path / "w", mode="hybrid")
         report, outcomes = run_pipeline(config)
         names = [o.name for o in outcomes]
-        for expected in (
-            "segment_index", "bm25_index", "pretrain_pairs", "template_extract",
-            "template_pool", "tempqg_pairs", "train", "dense_index", "fuse",
-            "evaluate",
-        ):
-            assert expected in names
+        assert names == [
+            "segment_index", "bm25_index", "bm25_search", "bm25_aggregate", "pretrain_pairs",
+            "template_extract", "template_pool", "tempqg_pairs", "train", "dense_index",
+            "dense_search", "dense_aggregate", "fuse", "evaluate",
+        ]
+        # Term statistics stay inside pretrain_pairs, and TempQG reads segments.jsonl.
+        outputs = sorted(os.path.basename(p) for o in outcomes for p in o.outputs)
+        assert sorted(os.listdir(config.workdir)) == sorted(outputs + ["manifests"])
+        assert sorted(os.listdir(os.path.join(config.workdir, "manifests"))) == sorted(
+            f"{name}.json" for name in names)
+        for name in ("doc_stats.json", "segments_context.jsonl"):
+            assert not os.path.exists(os.path.join(config.workdir, name))
         # Fused scores cap at 2.0 and lexical retrieval alone is exact here,
         # so the fused run stays strong even with a barely trained model.
         assert report.map >= 0.9
@@ -296,3 +305,40 @@ class TestDenseRun:
         names = [o.name for o in outcomes]
         assert "doc_stats" not in names
         assert "pretrain_pairs" in names
+
+    def test_other_tempqg_unit_segments_contexts_separately(self, fx, tmp_path):
+        config = self.tiny(fx, tmp_path / "w", pretrain_task="none", tempqg_unit="single_sent")
+        _, outcomes = run_pipeline(config)
+        assert "segment_context" in [o.name for o in outcomes]
+        sentences = {s.text for s in segment_corpus(load_corpus(fx.corpus),
+                                                    UnitKind.SINGLE_SENT)}
+        pairs = load_pairs(os.path.join(config.workdir, "pairs_tempqg.jsonl"))
+        assert pairs
+        assert all(pair.positive_text in sentences for pair in pairs)
+
+    def test_titled_segments_are_not_tempqg_contexts(self, fx, tmp_path):
+        # Equal units, but segment_index adds titles and TempQG contexts must not.
+        config = self.tiny(fx, tmp_path / "w", pretrain_task="none", include_title=True)
+        _, outcomes = run_pipeline(config)
+        assert "segment_context" in [o.name for o in outcomes]
+        docs = load_corpus(fx.corpus)
+        contexts = load_segments(os.path.join(config.workdir, "segments_context.jsonl"))
+        assert contexts == segment_corpus(docs, UnitKind.TWO_SENT)
+        titled = load_segments(os.path.join(config.workdir, "segments.jsonl"))
+        assert titled == segment_corpus(docs, UnitKind.TWO_SENT, include_title=True)
+        assert titled != contexts
+
+    @pytest.mark.parametrize("overrides", [
+        {"mode": "bm25"}, {"mode": "dense"}, {"mode": "hybrid"},
+        {"mode": "hybrid", "pretrain_task": "etm", "tempqg_unit": "single_sent"},
+    ], ids=["bm25", "dense", "hybrid", "hybrid-etm-single_sent"])
+    def test_no_two_outputs_share_a_checksum(self, fx, tmp_path, overrides):
+        config = self.tiny(fx, tmp_path / "w", **overrides)
+        run_pipeline(config)
+        manifests = os.path.join(config.workdir, "manifests")
+        recorded = {}
+        for name in os.listdir(manifests):
+            with open(os.path.join(manifests, name)) as fh:
+                recorded.update(json.load(fh)["outputs"])
+        assert set(recorded.values()) == {file_checksum(p) for p in recorded}
+        assert len(set(recorded.values())) == len(recorded), recorded
