@@ -11,6 +11,13 @@ The trainable surface at desk scale is the code matrix plus a d x d linear
 projection applied to query vectors, standing in for query-encoder
 finetuning. Training is plain SGD on an in-batch softmax NLL, double
 precision, with analytic gradients checked against central differences.
+Before the first step each distinct context is stacked once, with the others
+of its token length, into an (n_L, L, d) array. A step then computes its
+batch per token-length group with matmuls: the code attention, the pooling
+and their backward pass run on each group's stack, and the in-batch code dots
+and their gradients are matmuls over all K*b code vectors of the batch. The
+same stacked encoder builds the dense index, so index entries are
+bit-identical to encoding each segment alone.
 
 Similarity scores are per-row np.dot, so they are bit-identical to a naive
 double-loop oracle and the K=1 collapse is exact, not approximate. Dense
@@ -95,6 +102,48 @@ class PolyCodes:
         return hashlib.sha256(_canonical_bytes(self.matrix)).hexdigest()
 
 
+def _encode_stack(M: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Attention weights (n, K, L) and code vectors (n, K, d) of a stack H (n, L, d).
+
+    The one encoder behind encode_context, training and build_dense_index.
+    Contexts are stacked only with others of the same token length, never
+    padded, so each slice gets the same softmax sums and the same gemm calls
+    as a context encoded on its own: the output is bit-identical either way.
+    """
+    weights = _softmax_rows(M @ H.transpose(0, 2, 1))
+    return weights, weights @ H
+
+
+def _context_matrix(provider: EmbeddingProvider, text: str, d: int, where: str) -> np.ndarray:
+    """provider.token_vectors(text), or DataError prefixed by `where`."""
+    try:
+        h = np.asarray(provider.token_vectors(text), dtype=np.float64)
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from None
+    if h.ndim != 2 or h.shape[0] < 1 or h.shape[1] != d:
+        raise DataError(f"{where}: token matrix of shape {h.shape} is not (n, {d}) with n >= 1")
+    if not np.isfinite(h).all():
+        raise DataError(f"{where}: non-finite token vectors")
+    return h
+
+
+def _stack_by_length(lengths: np.ndarray, matrices: Iterable[np.ndarray], d: int):
+    """Copy (L, d) matrices with the given row counts into one (n_L, L, d) stack per L.
+
+    Returns ({L: stack}, each matrix's row in its stack). The stacks are sized
+    from `lengths` before the first copy, so no stack is ever regrown.
+    """
+    rows = np.empty(len(lengths), dtype=np.intp)
+    stacks: dict[int, np.ndarray] = {}
+    for length in np.unique(lengths):
+        members = np.flatnonzero(lengths == length)
+        rows[members] = np.arange(len(members))
+        stacks[int(length)] = np.empty((len(members), length, d))
+    for h, length, row in zip(matrices, lengths, rows):
+        stacks[length][row] = h
+    return stacks, rows
+
+
 def encode_context(token_vectors: np.ndarray, codes: PolyCodes) -> np.ndarray:
     """Pool a context's token matrix into K code vectors.
 
@@ -106,8 +155,7 @@ def encode_context(token_vectors: np.ndarray, codes: PolyCodes) -> np.ndarray:
         raise DataError("token matrix must be (n, d) with n >= 1")
     if h.shape[1] != codes.d:
         raise ConfigError(f"token dimension {h.shape[1]} != code dimension {codes.d}")
-    weights = _softmax_rows(codes.matrix @ h.T)
-    return weights @ h
+    return _encode_stack(codes.matrix, h[None])[1][0]
 
 
 def _code_dots(v_q: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -252,6 +300,9 @@ def _read_container(path: str, magic: bytes, required: dict) -> tuple[dict, np.n
     return header, payload.astype(np.float64, copy=False)
 
 
+_INDEX_BLOCK = 64  # segments whose token matrices build_dense_index stacks at once
+
+
 def build_dense_index(
     segments: Iterable[Segment],
     provider: EmbeddingProvider,
@@ -262,18 +313,25 @@ def build_dense_index(
             f"provider dimension {provider.dimension} != code dimension {codes.d}"
         )
     segments = list(segments)
-    entries = np.empty((len(segments), codes.k, codes.d))
     refs: list[str] = []
     seen: set[str] = set()
-    for i, seg in enumerate(segments):
+    for seg in segments:
         if seg.segment_id in seen:
             raise DataError(f"duplicate segment id '{seg.segment_id}'")
         seen.add(seg.segment_id)
-        tokens = np.asarray(provider.token_vectors(seg.text), dtype=np.float64)
-        if not np.isfinite(tokens).all():
-            raise DataError(f"segment '{seg.segment_id}' has non-finite token vectors")
-        entries[i] = encode_context(tokens, codes)
         refs.append(seg.segment_id)
+    entries = np.empty((len(segments), codes.k, codes.d))
+    # A block at a time, so that only one block's token matrices are held.
+    for start in range(0, len(segments), _INDEX_BLOCK):
+        block = segments[start : start + _INDEX_BLOCK]
+        matrices = [
+            _context_matrix(provider, seg.text, codes.d, f"segment '{seg.segment_id}'")
+            for seg in block
+        ]
+        lengths = np.array([len(h) for h in matrices], dtype=np.intp)
+        stacks, _ = _stack_by_length(lengths, matrices, codes.d)
+        for length, H in stacks.items():
+            entries[start + np.flatnonzero(lengths == length)] = _encode_stack(codes.matrix, H)[1]
     return DenseIndex(
         entries=entries,
         segment_refs=refs,
@@ -464,72 +522,132 @@ class TrainConfig:
             )
 
 
-def _batch_forward(M, P, U, Hs):
-    """In-batch scores for queries U against contexts Hs under codes M, projection P.
+def _forward(M, P, U, groups):
+    """In-batch scores for queries U (b, d) against the batch's contexts.
 
-    Returns (scores, cache) where the cache carries what backward needs.
+    groups holds one (positions, stack) per token length: the (n, L, d) stack
+    of that length's contexts and the batch rows they belong to. Code vectors
+    are kept code-major, V[k, j] for context j, so every per-code dot of every
+    (query, context) pair is one matmul and the softmax over codes reduces
+    along the leading axis. Returns (scores, cache); backward needs the cache.
     """
-    v = U @ P.T
+    k, d = M.shape
     b = U.shape[0]
-    k, d = M.shape[0], M.shape[1]
-    V = np.empty((b, k, d))
-    W = []
-    for j, H in enumerate(Hs):
-        weights = _softmax_rows(M @ H.T)
-        W.append(weights)
-        V[j] = weights @ H
-    code_dots = np.einsum("id,jkd->ijk", v, V)
-    alpha = _softmax_rows(code_dots)
-    scores = np.einsum("ijk,ijk->ij", alpha, code_dots)
-    return scores, (v, V, W, code_dots, alpha)
+    v = U @ P.T
+    V = np.empty((k, b, d))
+    weights = []
+    for pos, H in groups:
+        w, pooled = _encode_stack(M, H)
+        weights.append(w)
+        V[:, pos] = pooled.transpose(1, 0, 2)
+    flat = V.reshape(k * b, d)
+    dots = (flat @ v.T).reshape(k, b, b)  # dots[k, j, i] = v_i . V[k, j]
+    e = np.exp(dots - dots.max(axis=0))
+    alpha = e / e.sum(axis=0)
+    scores = (alpha * dots).sum(axis=0).T
+    return scores, (v, flat, weights, dots, alpha)
 
 
-def _batch_loss(M, P, U, Hs) -> float:
-    scores, _ = _batch_forward(M, P, U, Hs)
+def _loss(M, P, U, groups) -> float:
+    scores, _ = _forward(M, P, U, groups)
     return nll_loss(scores)
 
 
-def _batch_loss_and_grads(M, P, U, Hs):
-    """Analytic gradients of the in-batch NLL with respect to M and P."""
+def _loss_and_grads(M, P, U, groups):
+    """The in-batch NLL and its analytic gradients with respect to M and P."""
+    k, d = M.shape
     b = U.shape[0]
-    scores, (v, V, W, code_dots, alpha) = _batch_forward(M, P, U, Hs)
+    scores, (v, flat, weights, dots, alpha) = _forward(M, P, U, groups)
     loss = nll_loss(scores)
 
     g_scores = (_softmax_rows(scores) - np.eye(b)) / b
-    # d score_ij / d code_dots_ijk = alpha * (1 + code_dots - score)
-    chain = alpha * (1.0 + code_dots - scores[:, :, None])
-    g_dots = g_scores[:, :, None] * chain
-    g_v = np.einsum("ijk,jkd->id", g_dots, V)
-    g_V = np.einsum("ijk,id->jkd", g_dots, v)
+    # d score_ij / d dots_kji = alpha_kji * (1 + dots_kji - score_ij)
+    g_dots = (g_scores.T * alpha * (1.0 + dots - scores.T)).reshape(k * b, b)
+    g_v = g_dots.T @ flat
+    g_V = (g_dots @ v).reshape(k, b, d)
 
     g_P = g_v.T @ U
     g_M = np.zeros_like(M)
-    for j, H in enumerate(Hs):
-        g_W = g_V[j] @ H.T
-        w = W[j]
-        g_S = w * (g_W - (g_W * w).sum(axis=1, keepdims=True))
-        g_M += g_S @ H
+    for (pos, H), w in zip(groups, weights):
+        g_W = g_V[:, pos].transpose(1, 0, 2) @ H.transpose(0, 2, 1)
+        g_S = w * (g_W - (g_W * w).sum(axis=-1, keepdims=True))
+        n, _, length = g_S.shape
+        g_M += g_S.transpose(1, 0, 2).reshape(k, n * length) @ H.reshape(n * length, d)
     return loss, g_M, g_P
 
 
-def _embed_pairs(pairs: Sequence[TrainingPair], provider: EmbeddingProvider):
-    """Provider outputs for a pair list, cached per distinct text."""
-    q_cache: dict[str, np.ndarray] = {}
-    c_cache: dict[str, np.ndarray] = {}
-    U = []
-    Hs = []
-    for p in pairs:
-        u = q_cache.get(p.query_text)
-        if u is None:
-            u = np.asarray(provider.query_vector(p.query_text), dtype=np.float64)
-            q_cache[p.query_text] = u
-        H = c_cache.get(p.positive_text)
-        if H is None:
-            H = np.asarray(provider.token_vectors(p.positive_text), dtype=np.float64)
-            c_cache[p.positive_text] = H
-        U.append(u)
-        Hs.append(H)
-    return np.stack(U), Hs
+@dataclass(eq=False)
+class _PairSet:
+    """A pair list's provider outputs: one query row per pair, and each
+    distinct context once, stacked by token length."""
+
+    queries: np.ndarray  # (n, d)
+    lengths: np.ndarray  # (n,) token length of each pair's context
+    rows: np.ndarray  # (n,) that context's row in stacks[length]
+    stacks: dict[int, np.ndarray]  # length L -> (n_L, L, d)
+
+    def __len__(self) -> int:
+        return len(self.queries)
+
+    def batch(self, idx: np.ndarray) -> tuple[np.ndarray, list]:
+        """Queries of pairs idx, and their contexts as (positions, stack) per length."""
+        lengths = self.lengths[idx]
+        groups = []
+        for length in np.unique(lengths):
+            pos = np.flatnonzero(lengths == length)
+            groups.append((pos, self.stacks[length][self.rows[idx[pos]]]))
+        return self.queries[idx], groups
+
+
+def _pack_pairs(pairs: Sequence[TrainingPair], provider: EmbeddingProvider, d: int,
+                label: str) -> _PairSet:
+    """Provider outputs for a pair list, computed once per distinct text.
+
+    A bad vector raises DataError naming the pair's 1-based position in the
+    list (under `label`) and the start of its text.
+    """
+    queries = np.empty((len(pairs), d))
+    first_query: dict[str, int] = {}
+    contexts: dict[str, int] = {}  # distinct context text -> its index
+    context_of = np.empty(len(pairs), dtype=np.intp)
+    for i, p in enumerate(pairs):
+        first = first_query.setdefault(p.query_text, i)
+        if first == i:
+            where = f"{label} {i + 1} query {p.query_text[:40]!r}"
+            try:
+                u = np.asarray(provider.query_vector(p.query_text), dtype=np.float64)
+            except DataError as exc:
+                raise DataError(f"{where}: {exc}") from None
+            if u.shape != (d,):
+                raise DataError(f"{where}: vector of shape {u.shape} is not ({d},)")
+            if not np.isfinite(u).all():
+                raise DataError(f"{where}: non-finite query vector")
+            queries[i] = u
+        else:
+            queries[i] = queries[first]
+        context_of[i] = contexts.setdefault(p.positive_text, len(contexts))
+    # Contexts are numbered in order of first use, so np.unique's first
+    # indices give the pair each one first appears in.
+    first_pair = np.unique(context_of, return_index=True)[1]
+    wheres = [f"{label} {first_pair[c] + 1} context {text[:40]!r}" for text, c in contexts.items()]
+    # A first pass keeps only each context's token count, so that a second
+    # can copy each matrix straight into an exactly sized stack. Matrices held
+    # until their stack is built stay resident after they are freed, beside
+    # the stacks, and raised the peak memory of a fixture pipeline run.
+    lengths = np.array(
+        [len(_context_matrix(provider, text, d, where)) for text, where in zip(contexts, wheres)],
+        dtype=np.intp,
+    )
+
+    def matrices():
+        for text, where, length in zip(contexts, wheres, lengths):
+            h = _context_matrix(provider, text, d, where)
+            if len(h) != length:
+                raise DataError(f"{where}: {len(h)} token vectors, {length} on an earlier call")
+            yield h
+
+    stacks, rows = _stack_by_length(lengths, matrices(), d)
+    return _PairSet(queries, lengths[context_of], rows[context_of], stacks)
 
 
 def _epoch_batches(rng, n: int, batch_size: int) -> list[np.ndarray]:
@@ -550,9 +668,11 @@ def train(
     With pretrain pairs, the sequential schedule runs a full pass over them
     first and then over the main pairs; the multitask schedule interleaves
     batches from both sets round-robin within every epoch. Per-epoch mean
-    losses land in the returned model's provenance. A non-finite batch loss,
-    or non-finite parameters at the end of an epoch, raise StageError naming
-    the epoch (counted across both phases) and the step.
+    losses land in the returned model's provenance. A query vector or token
+    matrix of the wrong shape, or holding NaN or inf, raises DataError naming
+    the pair before any step runs. A non-finite batch loss, or non-finite
+    parameters at the end of an epoch, raise StageError naming the epoch
+    (counted across both phases) and the step.
     """
     if not pairs:
         raise DataError("no training pairs")
@@ -568,7 +688,7 @@ def train(
         nonlocal M, P
         for _ in range(config.epochs):
             batches = []
-            per_set = [_epoch_batches(rng, len(Hs), config.batch_size) for _, Hs in sets]
+            per_set = [_epoch_batches(rng, len(s), config.batch_size) for s in sets]
             # Round-robin interleave; a lone set degenerates to its own order.
             longest = max((len(b) for b in per_set), default=0)
             for i in range(longest):
@@ -578,8 +698,7 @@ def train(
             epoch = len(losses) + 1
             epoch_losses = []
             for step, (set_idx, idx) in enumerate(batches, start=1):
-                U, Hs = sets[set_idx]
-                loss, g_M, g_P = _batch_loss_and_grads(M, P, U[idx], [Hs[i] for i in idx])
+                loss, g_M, g_P = _loss_and_grads(M, P, *sets[set_idx].batch(idx))
                 if not math.isfinite(loss):
                     raise StageError("train", f"non-finite loss {loss} at epoch {epoch} step {step}; "
                                      "lower the learning rate")
@@ -591,9 +710,9 @@ def train(
                                  "lower the learning rate")
             losses.append(float(np.mean(epoch_losses)) if epoch_losses else math.nan)
 
-    main_set = _embed_pairs(pairs, provider)
+    main_set = _pack_pairs(pairs, provider, model.d, "pair")
     if pretrain_pairs:
-        pre_set = _embed_pairs(pretrain_pairs, provider)
+        pre_set = _pack_pairs(pretrain_pairs, provider, model.d, "pretraining pair")
         if config.schedule == SCHEDULE_SEQUENTIAL:
             run_epochs([pre_set])
             run_epochs([main_set])
@@ -635,10 +754,10 @@ def grad_check(
         raise ConfigError("gradient check needs a batch of at least 2 pairs")
     if epsilon <= 0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    U, Hs = _embed_pairs(batch, provider)
+    U, groups = _pack_pairs(batch, provider, model.d, "pair").batch(np.arange(len(batch)))
     M = model.codes.matrix.copy()
     P = model.projection.copy()
-    _, g_M, g_P = _batch_loss_and_grads(M, P, U, Hs)
+    _, g_M, g_P = _loss_and_grads(M, P, U, groups)
     analytic = {"codes": g_M.copy(), "projection": g_P.copy()}
     if corrupt is not None:
         name, flat_index, delta = corrupt
@@ -653,9 +772,9 @@ def grad_check(
         for i in range(flat.size):
             saved = flat[i]
             flat[i] = saved + epsilon
-            up = _batch_loss(M, P, U, Hs)
+            up = _loss(M, P, U, groups)
             flat[i] = saved - epsilon
-            down = _batch_loss(M, P, U, Hs)
+            down = _loss(M, P, U, groups)
             flat[i] = saved
             numeric[i] = (up - down) / (2.0 * epsilon)
         a = analytic[name].reshape(-1)

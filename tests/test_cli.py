@@ -10,6 +10,7 @@ import json
 import os
 import struct
 
+import numpy as np
 import pytest
 
 from bioir.cli import main
@@ -498,3 +499,49 @@ class TestCorruptBm25Index:
             if rc != 3 or "data error" not in err or str(path) not in err:
                 wrong.append(f"{label}: exit {rc}, stderr {err!r}")
         assert not wrong, wrong
+
+
+class TestBadTrainingVectorFile:
+    """`train --embedder file` with one bad entry exits 3 and names the pair."""
+
+    def run_with(self, tmp_path, capsys, entry, tamper):
+        from bioir.embedding import HashingEmbedder, dump_vectors, text_key
+        from bioir.pretrain import TASK_SUPERVISED, TrainingPair, save_pairs
+
+        pairs = [TrainingPair(f"ask k{i}", f"body k{i} more words", TASK_SUPERVISED, f"d{i}")
+                 for i in range(4)]
+        pairs_path, vectors = tmp_path / "pairs.jsonl", tmp_path / "vectors.npz"
+        save_pairs(str(pairs_path), pairs)
+        dump_vectors(str(vectors), HashingEmbedder(dim=8, seed=1),
+                     [p.positive_text for p in pairs], [p.query_text for p in pairs])
+        with np.load(vectors) as archive:
+            arrays = dict(archive)
+        text = pairs[2].positive_text if entry == "tok" else pairs[2].query_text
+        key = f"{entry}:{text_key(text)}"
+        arrays[key] = tamper(arrays[key])
+        np.savez(vectors, **arrays)
+        rc = main(["train", "--pairs", str(pairs_path), "--embedder", "file",
+                   "--vectors", str(vectors), "--k", "2", "--epochs", "1",
+                   "--batch-size", "2", "--out", str(tmp_path / "model.pdmo")])
+        return rc, capsys.readouterr().err
+
+    def with_nan(self, a):
+        a = a.copy()
+        a.reshape(-1)[0] = np.nan
+        return a
+
+    @pytest.mark.parametrize("entry,tamper,problem", [
+        ("tok", "nan", "non-finite token vectors"),
+        ("tok", lambda h: h[:0], "token matrix of shape (0, 8)"),
+        ("tok", lambda h: h[0], "context entry is not a token matrix"),
+        ("qry", "nan", "non-finite query vector"),
+        ("qry", lambda u: np.full_like(u, np.inf), "non-finite query vector"),
+    ])
+    def test_exits_three_naming_the_pair(self, tmp_path, capsys, entry, tamper, problem):
+        tamper = self.with_nan if tamper == "nan" else tamper
+        rc, err = self.run_with(tmp_path, capsys, entry, tamper)
+        assert rc == 3
+        assert err.startswith("data error: pair 3 ")
+        assert problem in err
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "model.pdmo")

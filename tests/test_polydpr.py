@@ -6,7 +6,7 @@ import pytest
 
 from bioir import ConfigError, DataError, polydpr
 from bioir.corpus import Segment, UnitKind
-from bioir.embedding import HashingEmbedder
+from bioir.embedding import HashingEmbedder, VectorFileProvider, dump_vectors
 from bioir.polydpr import (
     DEFAULT_K,
     DenseIndex,
@@ -498,3 +498,252 @@ class TestGradCheck:
         model = RetrieverModel.initialize(6, 16, seed=0)
         errors = grad_check(model, emb, self.batch(), epsilon=1e-5, corrupt=("codes", 0, 0.1))
         assert errors["codes"] > 1e-2
+
+
+# ---------------------------------------------------------------------------
+# The per-context training step that the stacked step replaced, kept verbatim
+# as an oracle: it loops over the batch's contexts one token matrix at a time.
+
+_softmax_rows = polydpr._softmax_rows
+
+
+def _batch_forward(M, P, U, Hs):
+    """In-batch scores for queries U against contexts Hs under codes M, projection P.
+
+    Returns (scores, cache) where the cache carries what backward needs.
+    """
+    v = U @ P.T
+    b = U.shape[0]
+    k, d = M.shape[0], M.shape[1]
+    V = np.empty((b, k, d))
+    W = []
+    for j, H in enumerate(Hs):
+        weights = _softmax_rows(M @ H.T)
+        W.append(weights)
+        V[j] = weights @ H
+    code_dots = np.einsum("id,jkd->ijk", v, V)
+    alpha = _softmax_rows(code_dots)
+    scores = np.einsum("ijk,ijk->ij", alpha, code_dots)
+    return scores, (v, V, W, code_dots, alpha)
+
+
+def _batch_loss_and_grads(M, P, U, Hs):
+    """Analytic gradients of the in-batch NLL with respect to M and P."""
+    b = U.shape[0]
+    scores, (v, V, W, code_dots, alpha) = _batch_forward(M, P, U, Hs)
+    loss = nll_loss(scores)
+
+    g_scores = (_softmax_rows(scores) - np.eye(b)) / b
+    # d score_ij / d code_dots_ijk = alpha * (1 + code_dots - score)
+    chain = alpha * (1.0 + code_dots - scores[:, :, None])
+    g_dots = g_scores[:, :, None] * chain
+    g_v = np.einsum("ijk,jkd->id", g_dots, V)
+    g_V = np.einsum("ijk,id->jkd", g_dots, v)
+
+    g_P = g_v.T @ U
+    g_M = np.zeros_like(M)
+    for j, H in enumerate(Hs):
+        g_W = g_V[j] @ H.T
+        w = W[j]
+        g_S = w * (g_W - (g_W * w).sum(axis=1, keepdims=True))
+        g_M += g_S @ H
+    return loss, g_M, g_P
+
+
+def _embed_pairs(pairs, provider):
+    """Provider outputs for a pair list, cached per distinct text."""
+    q_cache: dict[str, np.ndarray] = {}
+    c_cache: dict[str, np.ndarray] = {}
+    U = []
+    Hs = []
+    for p in pairs:
+        u = q_cache.get(p.query_text)
+        if u is None:
+            u = np.asarray(provider.query_vector(p.query_text), dtype=np.float64)
+            q_cache[p.query_text] = u
+        H = c_cache.get(p.positive_text)
+        if H is None:
+            H = np.asarray(provider.token_vectors(p.positive_text), dtype=np.float64)
+            c_cache[p.positive_text] = H
+        U.append(u)
+        Hs.append(H)
+    return np.stack(U), Hs
+
+
+def mixed_pairs(n, seed, max_len=30):
+    """n >= max_len pairs whose contexts span token lengths 1..max_len, a
+    third or more of them repeating another pair's context."""
+    rng = np.random.default_rng(seed)
+
+    def text(length):
+        return " ".join(f"w{int(rng.integers(0, 300))}" for _ in range(length))
+
+    lengths = list(range(1, max_len + 1))
+    lengths += [int(x) for x in rng.integers(1, max_len + 1, size=max(0, 2 * n // 3 - max_len))]
+    distinct = [text(length) for length in lengths]
+    assert len(distinct) < n
+    contexts = distinct + [distinct[int(i)] for i in rng.integers(0, len(distinct), n - len(distinct))]
+    contexts = [contexts[int(i)] for i in rng.permutation(n)]
+    return [
+        TrainingPair(f"ask {text(int(rng.integers(1, 6)))}", c, TASK_SUPERVISED, f"d{i}")
+        for i, c in enumerate(contexts)
+    ]
+
+
+def assert_close(got, want, rel=1e-12):
+    """Normwise: the largest difference within rel of the largest magnitude."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+class TestStackedStepMatchesPerContextOracle:
+    @pytest.mark.parametrize("b", [2, 3, 64])
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    @pytest.mark.parametrize("code_scale", [1.0, 8.0])
+    def test_loss_and_grads(self, b, k, code_scale):
+        dim = 16
+        emb = HashingEmbedder(dim=dim, seed=3)
+        pairs = mixed_pairs(max(b, 80), seed=b * 10 + k)
+        packed = polydpr._pack_pairs(pairs, emb, dim, "pair")
+        U_all, Hs_all = _embed_pairs(pairs, emb)
+        assert {len(H) for H in Hs_all} == set(range(1, 31))
+        assert len({p.positive_text for p in pairs}) < len(pairs)
+        rng = np.random.default_rng(b + k)
+        model = RetrieverModel.initialize(k, dim, seed=b + k)
+        M, P = code_scale * model.codes.matrix, model.projection
+        for _ in range(5):
+            idx = rng.permutation(len(pairs))[:b]
+            U, groups = packed.batch(idx)
+            assert np.array_equal(U, U_all[idx])
+            loss, g_M, g_P = polydpr._loss_and_grads(M, P, U, groups)
+            want_loss, want_M, want_P = _batch_loss_and_grads(M, P, U, [Hs_all[i] for i in idx])
+            assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+            assert_close(g_M, want_M)
+            assert_close(g_P, want_P)
+
+    def test_each_distinct_context_stacked_once(self):
+        emb = HashingEmbedder(dim=8, seed=3)
+        pairs = mixed_pairs(64, seed=5)
+        packed = polydpr._pack_pairs(pairs, emb, 8, "pair")
+        distinct = {p.positive_text for p in pairs}
+        assert sum(len(s) for s in packed.stacks.values()) == len(distinct)
+        for p, length, row in zip(pairs, packed.lengths, packed.rows):
+            assert np.array_equal(packed.stacks[length][row], emb.token_vectors(p.positive_text))
+
+
+class TestStackedIndexBuild:
+    @pytest.mark.parametrize("block", [4, 1024])
+    def test_entries_equal_per_segment_encoding(self, monkeypatch, block):
+        monkeypatch.setattr(polydpr, "_INDEX_BLOCK", block)
+        emb = HashingEmbedder(dim=16, seed=2)
+        codes = PolyCodes(4.0 * np.random.default_rng(1).normal(size=(6, 16)))
+        pairs = mixed_pairs(40, seed=9)
+        segments = [seg(f"s{i:03d}#full_doc#0", p.positive_text) for i, p in enumerate(pairs)]
+        index = build_dense_index(segments, emb, codes)
+        for s, entry in zip(segments, index.entries):
+            H = emb.token_vectors(s.text)
+            assert np.array_equal(entry, _softmax_rows(codes.matrix @ H.T) @ H)
+            assert np.array_equal(entry, encode_context(H, codes))
+
+
+class TestTrainingProviders:
+    def test_vector_file_trains_byte_identical_model(self, tmp_path):
+        emb = HashingEmbedder(dim=16, seed=6)
+        main, pre = mixed_pairs(48, seed=1), mixed_pairs(40, seed=2)
+        both = main + pre
+        vectors = str(tmp_path / "vectors.npz")
+        dump_vectors(vectors, emb, sorted({p.positive_text for p in both}),
+                     sorted({p.query_text for p in both}))
+        model = RetrieverModel.initialize(3, 16, seed=0)
+        cfg = TrainConfig(epochs=3, batch_size=8, learning_rate=1.0, seed=4, schedule="multitask")
+        paths = []
+        for provider in (emb, VectorFileProvider(vectors)):
+            paths.append(str(tmp_path / f"model{len(paths)}.pdmo"))
+            train(main, provider, model, cfg, pretrain_pairs=pre).save(paths[-1])
+        assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+
+
+class Tampered(HashingEmbedder):
+    """Hashing vectors, except for the texts of the pair that starts with 'bad'."""
+
+    def __init__(self, context=None, query=None):
+        super().__init__(dim=8, seed=1)
+        self.context, self.query = context, query
+
+    def token_vectors(self, text):
+        out = super().token_vectors(text)
+        return self.context(out) if self.context and text.startswith("bad context") else out
+
+    def query_vector(self, text):
+        out = super().query_vector(text)
+        return self.query(out) if self.query and text.startswith("bad question") else out
+
+
+def with_nan(a):
+    a = a.copy()
+    a.reshape(-1)[0] = np.nan
+    return a
+
+
+class TestBadTrainingVectors:
+    def pairs(self):
+        good = [TrainingPair(f"ask k{i}", f"body k{i} more", TASK_SUPERVISED, f"d{i}") for i in range(3)]
+        bad = TrainingPair("bad question text", "bad context " + "x" * 60, TASK_SUPERVISED, "d9")
+        return good[:2] + [bad] + good[2:]
+
+    @pytest.mark.parametrize("tamper,problem", [
+        (lambda h: h[0], r"token matrix of shape \(8,\) is not"),
+        (lambda h: h[None], r"token matrix of shape \(1, 3, 8\) is not"),
+        (lambda h: h[:0], r"token matrix of shape \(0, 8\) is not"),
+        (lambda h: h[:, :5], r"token matrix of shape \(3, 5\) is not"),
+        (lambda h: np.where(h == 0, np.inf, h), "non-finite token vectors"),
+        (with_nan, "non-finite token vectors"),
+    ])
+    def test_context_matrix_rejected(self, tamper, problem):
+        model = RetrieverModel.initialize(2, 8, seed=0)
+        cfg = TrainConfig(epochs=1, batch_size=2, learning_rate=0.5, seed=0)
+        want = r"pair 3 context 'bad context x{28}': " + problem
+        with pytest.raises(DataError, match=want):
+            train(self.pairs(), Tampered(context=tamper), model, cfg)
+        with pytest.raises(DataError, match="pretraining " + want):
+            train(self.pairs()[:2], Tampered(context=tamper), model, cfg,
+                  pretrain_pairs=self.pairs())
+        with pytest.raises(DataError, match=want):
+            grad_check(model, Tampered(context=tamper), self.pairs())
+
+    @pytest.mark.parametrize("tamper,problem", [
+        (with_nan, "non-finite query vector"),
+        (lambda u: -np.inf * u, "non-finite query vector"),
+        (lambda u: u[:4], r"vector of shape \(4,\) is not \(8,\)"),
+    ])
+    def test_query_vector_rejected(self, tamper, problem):
+        model = RetrieverModel.initialize(2, 8, seed=0)
+        cfg = TrainConfig(epochs=1, batch_size=2, learning_rate=0.5, seed=0)
+        with pytest.raises(DataError, match="pair 3 query 'bad question text': " + problem):
+            train(self.pairs(), Tampered(query=tamper), model, cfg)
+
+    def test_provider_error_names_the_pair(self):
+        model = RetrieverModel.initialize(2, 8, seed=0)
+        cfg = TrainConfig(epochs=1, batch_size=2, learning_rate=0.5, seed=0)
+        pairs = self.pairs()
+        pairs[3] = TrainingPair("ask more", "???", TASK_SUPERVISED, "d8")
+        with pytest.raises(DataError, match="pair 4 context '[?]{3}': cannot embed a text with no tokens"):
+            train(pairs, HashingEmbedder(dim=8, seed=1), model, cfg)
+
+    def test_provider_that_changes_its_answer_rejected(self):
+        class Shrinking(HashingEmbedder):
+            calls = 0
+
+            def token_vectors(self, text):
+                out = super().token_vectors(text)
+                if text == "ask":
+                    return out
+                self.calls += 1
+                return out[: 4 - self.calls]
+
+        model = RetrieverModel.initialize(2, 8, seed=0)
+        cfg = TrainConfig(epochs=1, batch_size=2, learning_rate=0.5, seed=0)
+        pairs = [TrainingPair("ask", "one two three four", TASK_SUPERVISED, "d1")] * 2
+        with pytest.raises(DataError, match="pair 1 context 'one two three four': 2 token vectors, 3 on"):
+            train(pairs, Shrinking(dim=8, seed=1), model, cfg)
